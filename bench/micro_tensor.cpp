@@ -35,6 +35,47 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
+// The GEMM family at the shapes zi_bench's workloads run (hidden 128,
+// vocab 256, 64 tokens per rank step, serving head size 32).
+using GemmFn = void (*)(const float*, const float*, float*, i64, i64, i64,
+                        float, float);
+
+void run_gemm_at(benchmark::State& state, GemmFn fn) {
+  const i64 m = state.range(0), k = state.range(1), n = state.range(2);
+  const auto a = randn(static_cast<std::size_t>(m * k));
+  const auto b = randn(static_cast<std::size_t>(k * n));
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    fn(a.data(), b.data(), c.data(), m, k, n, 1.0f, 0.0f);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * n / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+// C[m,n] = A[m,k] · B[k,n]: linear forward (qkv/fc1 and fc2).
+void BM_GemmNN(benchmark::State& state) { run_gemm_at(state, gemm); }
+BENCHMARK(BM_GemmNN)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({64, 128, 384})
+    ->Args({64, 512, 128});
+
+// C[m,n] = A[k,m]^T · B[k,n]: the weight gradient of the qkv linear.
+void BM_GemmTN(benchmark::State& state) { run_gemm_at(state, gemm_tn); }
+BENCHMARK(BM_GemmTN)->ArgNames({"m", "k", "n"})->Args({128, 64, 384});
+
+// C[m,n] = A[m,k] · B[n,k]^T: the tied LM head in training and at decode
+// batch 1, 2 and 8, and one head's decode attention scores.
+void BM_GemmNT(benchmark::State& state) { run_gemm_at(state, gemm_nt); }
+BENCHMARK(BM_GemmNT)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({64, 128, 256})
+    ->Args({1, 128, 256})
+    ->Args({2, 128, 256})
+    ->Args({8, 128, 256})
+    ->Args({1, 32, 64});
+
 void BM_LayerNorm(benchmark::State& state) {
   const i64 rows = 256, dim = state.range(0);
   const auto x = randn(static_cast<std::size_t>(rows * dim));

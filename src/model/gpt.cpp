@@ -178,6 +178,12 @@ float Gpt::forward_loss(std::span<const std::int32_t> tokens,
                                            << " is not a positive multiple of "
                                               "the context window "
                                            << config_.seq);
+  // Cross-entropy indexes a probability row by target, so check targets
+  // before anything runs (token ids are checked by the embedding).
+  for (const std::int32_t t : targets) {
+    ZI_CHECK_MSG(t >= 0 && t < config_.vocab,
+                 "target " << t << " out of vocab " << config_.vocab);
+  }
   Tensor logits = forward_logits(tokens);
 
   saved_probs_ = Tensor({count, config_.vocab}, DType::kF32);

@@ -1,45 +1,297 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace zi {
 
 // ---------------------------------------------------------------------------
-// GEMM. The i-k-j loop order keeps the inner loop streaming over contiguous
-// rows of B and C — the standard cache-friendly form for row-major data.
-// Model dimensions in the functional tests are small (hd <= 256), so no
-// further blocking is needed.
+// GEMM. All three variants run one register-tiled microkernel: a tile of
+// up to kMr rows by kNr columns of C stays in 16-byte vector registers for
+// the whole k loop. A arrives as a packed panel of the tile's rows; B as an
+// 8-column strip, read in place for gemm / gemm_tn and packed from Bᵀ for
+// gemm_nt.
+//
+// Numerics contract (DESIGN.md §2): the results are bit-identical to plain
+// scalar loops, kept as the oracle in tests/test_ops.cpp. Every C element
+// accumulates over p in ascending order with a separate multiply and add —
+// no FMA, no reassociation, no k-splitting — so an element's value never
+// depends on m, n or its place in a tile.
+//   gemm, gemm_tn: start from beta·C (+0 when beta == 0, C as is when
+//     beta == 1) and add (alpha·a)·b, skipping a term whose alpha·a is zero.
+//   gemm_nt: sum a·b from +0, then C = alpha·acc + (beta == 0 ? 0 : beta·C).
 
-void gemm(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
-          float alpha, float beta) {
-  for (i64 i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (i64 j = 0; j < n; ++j) crow[j] *= beta;
-    }
-    const float* arow = a + i * k;
-    for (i64 p = 0; p < k; ++p) {
-      const float av = alpha * arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + p * n;
-      for (i64 j = 0; j < n; ++j) crow[j] += av * brow[j];
+namespace {
+
+constexpr i64 kMr = 4;  // rows of C per register tile
+constexpr i64 kNr = 8;  // columns of C per register tile: two vectors
+// gemm_nt packs Bᵀ for this many rows or more. For a single row (decode)
+// packing costs about what it saves, so B is read in place.
+constexpr i64 kNtPackMinRows = 2;
+
+// Generic 16-byte vectors: SSE2 at the x86-64 baseline ISA.
+using V4 = float __attribute__((vector_size(16)));
+
+V4 load4(const float* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
+
+V4 splat(float x) { return V4{x, x, x, x}; }
+
+// Packing buffers, one set per thread, grown on demand and reused.
+float* scratch(std::vector<float>& buf, i64 floats) {
+  if (buf.size() < static_cast<std::size_t>(floats)) {
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
+}
+thread_local std::vector<float> t_a_panel;
+thread_local std::vector<float> t_b_strips;
+
+enum class Form {
+  kAccumulate,  // gemm, gemm_tn
+  kDot,         // gemm_nt
+};
+
+// op(A)[i][p] is a[i * row_stride + p * col_stride].
+struct AView {
+  const float* a;
+  i64 row_stride;
+  i64 col_stride;
+};
+
+// B as kNr-column strips: full strip s begins at base + s * strip_stride
+// with rows ldb apart; a partial last strip is packed, zero-padded, at
+// `tail` with rows kNr apart.
+struct BStrips {
+  const float* base;
+  i64 strip_stride;
+  i64 ldb;
+  const float* tail;
+};
+
+// Packs a strip of w columns, element (p, c) at b[p * row_step +
+// c * col_step], into dst[p * kNr + c], zero-padding columns w..kNr-1. The
+// steps let the same loop pack B (gemm, gemm_tn) and Bᵀ (gemm_nt).
+void pack_strip(const float* b, i64 row_step, i64 col_step, i64 k, i64 w,
+                float* dst) {
+  for (i64 p = 0; p < k; ++p) {
+    for (i64 c = 0; c < kNr; ++c) {
+      dst[p * kNr + c] = c < w ? b[p * row_step + c * col_step] : 0.0f;
     }
   }
 }
 
-void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
-             float alpha, float beta) {
-  // C[i][j] = sum_p A[i][p] * B[j][p] — both operands stream row-wise.
+// Calls f(0), ..., f(R - 1) unrolled, so the tile's per-row accumulators
+// are indexed by constants and stay in registers.
+template <int R, typename F>
+void unroll(F&& f) {
+  [&]<int... r>(std::integer_sequence<int, r...>) {
+    (f(r), ...);
+  }(std::make_integer_sequence<int, R>{});
+}
+
+// The microkernel: one R x 8 tile of C (rows ldc apart). ap is a packed
+// R-row A panel (ap[p * R + r]); row p of the B strip is at b + p * ldb.
+// The tile sums over p ascending; kSkipZero drops the term of a zero A
+// entry (gemm, gemm_tn).
+template <int R, bool kSkipZero>
+void tile_kernel(const float* ap, const float* b, i64 ldb, i64 k, float* ct,
+                 i64 ldc, float alpha, float beta, Form form) {
+  const bool load_c = beta != 0.0f;
+  V4 lo[R], hi[R];
+  unroll<R>([&](int r) {
+    lo[r] = hi[r] = V4{};
+    if (form == Form::kAccumulate && load_c) {
+      lo[r] = load4(ct + r * ldc);
+      hi[r] = load4(ct + r * ldc + 4);
+      if (beta != 1.0f) {
+        lo[r] *= splat(beta);
+        hi[r] *= splat(beta);
+      }
+    }
+  });
+  for (i64 p = 0; p < k; ++p, ap += R, b += ldb) {
+    const V4 b0 = load4(b);
+    const V4 b1 = load4(b + 4);
+    unroll<R>([&](int r) {
+      if (kSkipZero && ap[r] == 0.0f) return;
+      const V4 av = splat(ap[r]);
+      lo[r] += av * b0;
+      hi[r] += av * b1;
+    });
+  }
+  unroll<R>([&](int r) {
+    float* crow = ct + r * ldc;
+    if (form == Form::kDot) {
+      const V4 c0 = load_c ? splat(beta) * load4(crow) : V4{};
+      const V4 c1 = load_c ? splat(beta) * load4(crow + 4) : V4{};
+      lo[r] = splat(alpha) * lo[r] + c0;
+      hi[r] = splat(alpha) * hi[r] + c1;
+    }
+    store4(crow, lo[r]);
+    store4(crow + 4, hi[r]);
+  });
+}
+
+// One block of R rows of C against every strip of B.
+template <int R>
+void row_block(const float* ap, bool skip_zero, const BStrips& bs, float* c,
+               i64 k, i64 n, float alpha, float beta, Form form) {
+  const bool load_c = beta != 0.0f;
+  for (i64 j = 0; j < n; j += kNr) {
+    const i64 w = std::min(kNr, n - j);
+    const bool full = w == kNr;
+    const float* b = full ? bs.base + (j / kNr) * bs.strip_stride : bs.tail;
+    const i64 ldb = full ? bs.ldb : kNr;
+    // A partial strip's C tile goes through a padded copy.
+    float edge[R * kNr];
+    float* ct = full ? c + j : edge;
+    const i64 ldc = full ? n : kNr;
+    if (!full) {
+      std::fill(edge, edge + R * kNr, 0.0f);
+      if (load_c) {
+        for (int r = 0; r < R; ++r) {
+          std::copy(c + r * n + j, c + r * n + j + w, edge + r * kNr);
+        }
+      }
+    }
+
+    if (skip_zero) {
+      tile_kernel<R, true>(ap, b, ldb, k, ct, ldc, alpha, beta, form);
+    } else {
+      tile_kernel<R, false>(ap, b, ldb, k, ct, ldc, alpha, beta, form);
+    }
+    if (!full) {
+      for (int r = 0; r < R; ++r) {
+        std::copy(edge + r * kNr, edge + r * kNr + w, c + r * n + j);
+      }
+    }
+  }
+}
+
+// C = op(A) · B through the microkernel, one packed block of up to kMr rows
+// at a time. `a_scale` is applied while packing (alpha for the accumulate
+// form, 1 for the dot form).
+void gemm_tiled(AView a, float a_scale, const BStrips& bs, float* c, i64 m,
+                i64 k, i64 n, float alpha, float beta, Form form) {
+  float* ap = scratch(t_a_panel, kMr * k);
+  for (i64 i = 0; i < m; i += kMr) {
+    const i64 rows = std::min(kMr, m - i);
+    bool any_zero = false;
+    for (i64 p = 0; p < k; ++p) {
+      for (i64 r = 0; r < rows; ++r) {
+        const float v =
+            a_scale * a.a[(i + r) * a.row_stride + p * a.col_stride];
+        ap[p * rows + r] = v;
+        any_zero = any_zero || v == 0.0f;
+      }
+    }
+    const bool skip = form == Form::kAccumulate && any_zero;
+    float* cb = c + i * n;
+    switch (rows) {
+      case 1: row_block<1>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
+      case 2: row_block<2>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
+      case 3: row_block<3>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
+      default: row_block<4>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
+    }
+  }
+}
+
+// B[k][n] in place; only a partial last strip is packed.
+BStrips strips_of_b(const float* b, i64 k, i64 n) {
+  BStrips bs{b, kNr, n, nullptr};
+  const i64 tail = n % kNr;
+  if (tail != 0) {
+    float* dst = scratch(t_b_strips, k * kNr);
+    pack_strip(b + (n - tail), n, 1, k, tail, dst);
+    bs.tail = dst;
+  }
+  return bs;
+}
+
+// Reads B[j + c][p + q] for c < kNr, q < 4 (B's rows k apart, bj at row
+// j, column p) transposed in registers: lane c % 4 of t[c / 4][q] is
+// B[j + c][p + q], so each vector holds one p of four columns.
+void load_bt_block(const float* bj, i64 k, V4 (&t)[kNr / 4][4]) {
+  unroll<kNr / 4>([&](int g) {
+    V4 r[4];
+    unroll<4>([&](int c) { r[c] = load4(bj + (4 * g + c) * k); });
+    const V4 lo01 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+    const V4 lo23 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+    const V4 hi01 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+    const V4 hi23 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+    t[g][0] = __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+    t[g][1] = __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+    t[g][2] = __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+    t[g][3] = __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+  });
+}
+
+// Packs the Bᵀ strip of columns [j, j + w) of op(B), i.e. rows of B[n][k],
+// into dst[p * kNr + c].
+void pack_bt_strip(const float* bj, i64 k, i64 w, float* dst) {
+  i64 p = 0;
+  for (; w == kNr && p + 4 <= k; p += 4) {
+    V4 t[kNr / 4][4];
+    load_bt_block(bj + p, k, t);
+    unroll<4>([&](int q) {
+      unroll<kNr / 4>([&](int g) {
+        store4(dst + (p + q) * kNr + 4 * g, t[g][q]);
+      });
+    });
+  }
+  // A partial strip, and the last k % 4 p of a full one, one by one.
+  pack_strip(bj + p, 1, k, k - p, w, dst + p * kNr);
+}
+
+// gemm_nt without packing, for fewer than kNtPackMinRows rows: kNr rows of
+// B[n][k] are read in place, four p at a time, and transposed in registers,
+// so lane c of an accumulator is column j + c, summed over p ascending like
+// every other element.
+void gemm_nt_unpacked(const float* a, const float* b, float* c, i64 m, i64 k,
+                      i64 n, float alpha, float beta) {
+  constexpr int kGroups = kNr / 4;
   for (i64 i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    for (i64 j = 0; j < n; ++j) {
+    i64 j = 0;
+    for (; j + kNr <= n; j += kNr) {
+      const float* bj = b + j * k;
+      V4 acc[kGroups] = {};
+      i64 p = 0;
+      for (; p + 4 <= k; p += 4) {
+        const V4 a4 = load4(arow + p);
+        V4 t[kGroups][4];
+        load_bt_block(bj + p, k, t);
+        unroll<4>([&](int q) {
+          unroll<kGroups>([&](int g) { acc[g] += splat(a4[q]) * t[g][q]; });
+        });
+      }
+      for (; p < k; ++p) {
+        unroll<kGroups>([&](int g) {
+          const float* col = bj + 4 * g * k + p;
+          const V4 bv = {col[0], col[k], col[2 * k], col[3 * k]};
+          acc[g] += splat(arow[p]) * bv;
+        });
+      }
+      unroll<kGroups>([&](int g) {
+        float* cg = crow + j + 4 * g;
+        const V4 prior = beta == 0.0f ? V4{} : splat(beta) * load4(cg);
+        store4(cg, splat(alpha) * acc[g] + prior);
+      });
+    }
+    for (; j < n; ++j) {
       const float* brow = b + j * k;
       float acc = 0.0f;
       for (i64 p = 0; p < k; ++p) acc += arow[p] * brow[p];
@@ -48,27 +300,36 @@ void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
   }
 }
 
+}  // namespace
+
+void gemm(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
+          float alpha, float beta) {
+  gemm_tiled(AView{a, k, 1}, alpha, strips_of_b(b, k, n), c, m, k, n, alpha,
+             beta, Form::kAccumulate);
+}
+
+void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
+             float alpha, float beta) {
+  // C[i][j] = sum_p A[i][p] * B[j][p].
+  if (m < kNtPackMinRows) {
+    gemm_nt_unpacked(a, b, c, m, k, n, alpha, beta);
+    return;
+  }
+  const i64 strips = (n + kNr - 1) / kNr;
+  float* bt = scratch(t_b_strips, strips * k * kNr);
+  for (i64 s = 0; s < strips; ++s) {
+    const i64 j = s * kNr;
+    pack_bt_strip(b + j * k, k, std::min(kNr, n - j), bt + s * k * kNr);
+  }
+  const BStrips bs{bt, k * kNr, kNr, bt + (n / kNr) * k * kNr};
+  gemm_tiled(AView{a, k, 1}, 1.0f, bs, c, m, k, n, alpha, beta, Form::kDot);
+}
+
 void gemm_tn(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
              float alpha, float beta) {
   // C[i][j] = sum_p A[p][i] * B[p][j].
-  for (i64 i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (i64 j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
-  for (i64 p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (i64 i = 0; i < m; ++i) {
-      const float av = alpha * arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      for (i64 j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm_tiled(AView{a, 1, m}, alpha, strips_of_b(b, k, n), c, m, k, n, alpha,
+             beta, Form::kAccumulate);
 }
 
 // ---------------------------------------------------------------------------

@@ -371,5 +371,27 @@ TEST(Gpt, EmbeddingRejectsOutOfVocabIds) {
   EXPECT_THROW(model.forward_loss(tokens, targets), Error);
 }
 
+TEST(Gpt, RejectsOutOfVocabTargets) {
+  GptConfig cfg;
+  cfg.vocab = 8;
+  cfg.seq = 4;
+  Gpt model(cfg);
+  LocalParamStore store(model);
+  // The check runs before any gather hook fires.
+  int gathers = 0;
+  Module::Hooks hooks;
+  hooks.pre_forward = [&](Module&) { ++gathers; };
+  model.install_hooks(hooks);
+  const std::vector<std::int32_t> tokens = {1, 2, 3, 4};
+  for (const std::int32_t bad : {8, 99, -1}) {
+    const std::vector<std::int32_t> targets = {1, 2, bad, 4};
+    EXPECT_THROW(model.forward_loss(tokens, targets), Error) << bad;
+  }
+  EXPECT_EQ(gathers, 0);
+  const std::vector<std::int32_t> targets = {1, 2, 7, 0};
+  EXPECT_TRUE(std::isfinite(model.forward_loss(tokens, targets)));
+  EXPECT_GT(gathers, 0);
+}
+
 }  // namespace
 }  // namespace zi

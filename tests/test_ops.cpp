@@ -1,10 +1,15 @@
-// Kernel tests. Backward passes are validated against central-difference
-// numerical gradients — the strongest property check available for
-// hand-written autograd.
+// Kernel tests. The tiled GEMM family is compared bit for bit against
+// plain scalar loops; backward passes are validated against
+// central-difference numerical gradients — the strongest property check
+// available for hand-written autograd.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,67 +61,174 @@ void expect_grad_close(double analytic, double numeric, double tol,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM
+// GEMM. The tiled kernels must reproduce these plain scalar loops bit for
+// bit: every C element sums over p in ascending order with a separate
+// multiply and add (see the numerics contract in ops.cpp).
 
-TEST(Gemm, MatchesNaiveTripleLoop) {
-  const i64 m = 7, k = 5, n = 9;
-  auto a = randn(static_cast<std::size_t>(m * k), 1);
-  auto b = randn(static_cast<std::size_t>(k * n), 2);
-  std::vector<float> c(static_cast<std::size_t>(m * n));
-  gemm(a.data(), b.data(), c.data(), m, k, n);
+void oracle_gemm(const float* a, const float* b, float* c, i64 m, i64 k,
+                 i64 n, float alpha, float beta) {
   for (i64 i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    if (beta == 0.0f) {
+      std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
+    } else if (beta != 1.0f) {
+      for (i64 j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    const float* arow = a + i * k;
+    for (i64 p = 0; p < k; ++p) {
+      const float av = alpha * arow[p];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * n;
+      for (i64 j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void oracle_gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k,
+                    i64 n, float alpha, float beta) {
+  for (i64 i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
     for (i64 j = 0; j < n; ++j) {
-      float ref = 0.0f;
-      for (i64 p = 0; p < k; ++p) {
-        ref += a[static_cast<std::size_t>(i * k + p)] * b[static_cast<std::size_t>(p * n + j)];
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (i64 p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * crow[j]);
+    }
+  }
+}
+
+void oracle_gemm_tn(const float* a, const float* b, float* c, i64 m, i64 k,
+                    i64 n, float alpha, float beta) {
+  for (i64 i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    if (beta == 0.0f) {
+      std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
+    } else if (beta != 1.0f) {
+      for (i64 j = 0; j < n; ++j) crow[j] *= beta;
+    }
+  }
+  for (i64 p = 0; p < k; ++p) {
+    const float* arow = a + p * m;
+    const float* brow = b + p * n;
+    for (i64 i = 0; i < m; ++i) {
+      const float av = alpha * arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c + i * n;
+      for (i64 j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+using GemmFn = void (*)(const float*, const float*, float*, i64, i64, i64,
+                        float, float);
+
+// Normals with exact 0 and -0.0 mixed in; `with_inf` adds +-inf. No NaN
+// inputs: every NaN the kernels make is then the one default NaN, so a
+// bitwise comparison is meaningful.
+std::vector<float> operand(std::size_t n, std::uint64_t stream,
+                           bool with_inf) {
+  auto v = randn(n, stream);
+  Rng pick(99, stream);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float& x : v) {
+    switch (pick.next_below(with_inf ? 24 : 12)) {
+      case 0: x = 0.0f; break;
+      case 1: x = -0.0f; break;
+      case 12: x = inf; break;
+      case 13: x = -inf; break;
+      default: break;
+    }
+  }
+  return v;
+}
+
+// Runs `fn` and `oracle` on identical operands and counts C elements whose
+// bits differ. The shapes of A and B follow the variant's transposes.
+int gemm_mismatches(GemmFn fn, GemmFn oracle, i64 m, i64 k, i64 n,
+                    float alpha, float beta, bool with_inf,
+                    std::uint64_t stream) {
+  const auto a = operand(static_cast<std::size_t>(m * k), stream, with_inf);
+  const auto b = operand(static_cast<std::size_t>(k * n), stream + 1, with_inf);
+  auto got = operand(static_cast<std::size_t>(m * n), stream + 2, with_inf);
+  auto want = got;
+  fn(a.data(), b.data(), got.data(), m, k, n, alpha, beta);
+  oracle(a.data(), b.data(), want.data(), m, k, n, alpha, beta);
+  int bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    bad += std::bit_cast<std::uint32_t>(got[i]) !=
+           std::bit_cast<std::uint32_t>(want[i]);
+  }
+  return bad;
+}
+
+// Every tile tail (the kernel's tile is 4 x 8), every alpha/beta form, and
+// operands holding 0, -0.0 and +-inf.
+TEST(Gemm, BitIdenticalToScalarLoops) {
+  struct Variant {
+    const char* name;
+    GemmFn fn, oracle;
+  };
+  const Variant variants[] = {{"gemm", gemm, oracle_gemm},
+                              {"gemm_nt", gemm_nt, oracle_gemm_nt},
+                              {"gemm_tn", gemm_tn, oracle_gemm_tn}};
+  const i64 dims[] = {1, 2, 3, 4, 5, 7, 8, 9, 64};
+  const i64 depths[] = {0, 1, 7, 128, 512};
+  const std::pair<float, float> scales[] = {
+      {1.0f, 0.0f}, {0.5f, 1.0f}, {0.25f, 0.5f}, {-1.0f, 0.0f}};
+  std::uint64_t stream = 0;
+  for (const Variant& v : variants) {
+    for (const i64 m : dims) {
+      for (const i64 n : dims) {
+        for (const i64 k : depths) {
+          for (const auto& [alpha, beta] : scales) {
+            for (const bool with_inf : {false, true}) {
+              stream += 3;
+              EXPECT_EQ(gemm_mismatches(v.fn, v.oracle, m, k, n, alpha, beta,
+                                        with_inf, stream),
+                        0)
+                  << v.name << " m=" << m << " k=" << k << " n=" << n
+                  << " alpha=" << alpha << " beta=" << beta
+                  << " inf=" << with_inf;
+            }
+          }
+        }
       }
-      EXPECT_NEAR(c[static_cast<std::size_t>(i * n + j)], ref, 1e-4f);
     }
   }
 }
 
-TEST(Gemm, AlphaBetaSemantics) {
-  const i64 m = 3, k = 4, n = 2;
-  auto a = randn(static_cast<std::size_t>(m * k), 3);
-  auto b = randn(static_cast<std::size_t>(k * n), 4);
-  std::vector<float> base(static_cast<std::size_t>(m * n), 2.0f);
-  std::vector<float> c = base;
-  gemm(a.data(), b.data(), c.data(), m, k, n, 0.5f, 1.0f);
-  std::vector<float> pure(static_cast<std::size_t>(m * n));
-  gemm(a.data(), b.data(), pure.data(), m, k, n);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], 2.0f + 0.5f * pure[i], 1e-4f);
+// gemm and gemm_tn skip a term whose alpha*a is zero, so 0 * inf never
+// reaches C; gemm_nt multiplies every term and turns it into NaN.
+TEST(Gemm, ZeroTimesInfSkippedExceptInNt) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const i64 k = 3, n = 9;
+  for (const i64 m : {1, 4, 5}) {
+    // op(A) is ones with a zero column at p = 1; op(B) is ones with an inf
+    // row at p = 1. Each buffer is [rows][cols] of its own layout.
+    auto matrix = [](i64 rows, i64 cols, bool p_is_row, float special) {
+      std::vector<float> x(static_cast<std::size_t>(rows * cols), 1.0f);
+      for (i64 r = 0; r < rows; ++r) {
+        for (i64 col = 0; col < cols; ++col) {
+          if ((p_is_row ? r : col) == 1) {
+            x[static_cast<std::size_t>(r * cols + col)] = special;
+          }
+        }
+      }
+      return x;
+    };
+    const auto a_mk = matrix(m, k, false, 0.0f);  // A[m][k]
+    const auto a_km = matrix(k, m, true, 0.0f);   // A[k][m]
+    const auto b_kn = matrix(k, n, true, inf);    // B[k][n]
+    const auto b_nk = matrix(n, k, false, inf);   // B[n][k]
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    gemm(a_mk.data(), b_kn.data(), c.data(), m, k, n);
+    for (const float v : c) EXPECT_EQ(v, 2.0f);
+    gemm_tn(a_km.data(), b_kn.data(), c.data(), m, k, n);
+    for (const float v : c) EXPECT_EQ(v, 2.0f);
+    gemm_nt(a_mk.data(), b_nk.data(), c.data(), m, k, n);
+    for (const float v : c) EXPECT_TRUE(std::isnan(v));
   }
-}
-
-TEST(Gemm, TransposedVariantsAgree) {
-  const i64 m = 4, k = 6, n = 5;
-  auto a = randn(static_cast<std::size_t>(m * k), 5);   // A[m,k]
-  auto b = randn(static_cast<std::size_t>(k * n), 6);   // B[k,n]
-  std::vector<float> ref(static_cast<std::size_t>(m * n));
-  gemm(a.data(), b.data(), ref.data(), m, k, n);
-
-  // gemm_nt with B pre-transposed must equal gemm.
-  std::vector<float> bt(static_cast<std::size_t>(n * k));
-  for (i64 i = 0; i < k; ++i) {
-    for (i64 j = 0; j < n; ++j) {
-      bt[static_cast<std::size_t>(j * k + i)] = b[static_cast<std::size_t>(i * n + j)];
-    }
-  }
-  std::vector<float> c1(static_cast<std::size_t>(m * n));
-  gemm_nt(a.data(), bt.data(), c1.data(), m, k, n);
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(c1[i], ref[i], 1e-4f);
-
-  // gemm_tn with A pre-transposed must equal gemm.
-  std::vector<float> at(static_cast<std::size_t>(k * m));
-  for (i64 i = 0; i < m; ++i) {
-    for (i64 j = 0; j < k; ++j) {
-      at[static_cast<std::size_t>(j * m + i)] = a[static_cast<std::size_t>(i * k + j)];
-    }
-  }
-  std::vector<float> c2(static_cast<std::size_t>(m * n));
-  gemm_tn(at.data(), b.data(), c2.data(), m, k, n);
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(c2[i], ref[i], 1e-4f);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #   tools/check.sh transport       # Communicator transport suites (inproc+proc)
 #   tools/check.sh straggler       # straggler detection/rebalance suites
 #   tools/check.sh serve           # streamed-execution + serving suites
+#   tools/check.sh kernels         # tensor-kernel suite (GEMM oracle)
 #   tools/check.sh tsan            # ZI_SANITIZE=thread build + concurrency tests
 #   tools/check.sh asan            # ZI_SANITIZE=address build + full ctest
 #   tools/check.sh ubsan           # ZI_SANITIZE=undefined build + full ctest
@@ -131,6 +132,18 @@ run_serve() {
     || FAILED=1
 }
 
+# Tight loop for kernel work: the tensor-kernel suite, whose GEMM tests
+# compare the tiled kernels bit for bit against scalar oracles, on a plain
+# build. Shares the plain build tree so a follow-up `build` is warm.
+run_kernels() {
+  local build="build-check-plain"
+  note "kernels (test_ops)"
+  cmake -B "$build" -S . -DZI_WERROR=ON >/dev/null
+  cmake --build "$build" -j "$JOBS" --target test_ops
+  (cd "$build" && ctest --output-on-failure -j "$JOBS" -L kernels) \
+    || FAILED=1
+}
+
 # $1: mode name, $2: ZI_SANITIZE value ('' = off), $3: ctest label ('' = all)
 run_build() {
   local mode="$1" sanitize="$2" label="$3"
@@ -157,13 +170,14 @@ for step in "${STEPS[@]}"; do
     transport) run_transport ;;
     straggler) run_straggler ;;
     serve)  run_serve ;;
+    kernels) run_kernels ;;
     # TSan: the concurrency-labeled subset (comm / aio / thread pool /
     # stress / lock tracker) — the full suite under TSan takes too long for
     # a pre-commit loop; CI runs the same subset.
     tsan)   run_build tsan thread concurrency ;;
     asan)   run_build asan address "" ;;
     ubsan)  run_build ubsan undefined "" ;;
-    *) echo "unknown step: $step (known: ${ALL[*]} sched transport straggler serve)"; exit 2 ;;
+    *) echo "unknown step: $step (known: ${ALL[*]} sched transport straggler serve kernels)"; exit 2 ;;
   esac
 done
 
