@@ -55,6 +55,8 @@ struct RunResult {
   std::uint64_t prefetch_hits = 0;
   std::uint64_t chunks_pipelined = 0;
   std::uint64_t gpu_peak = 0;
+  std::uint64_t cpu_peak = 0;
+  std::uint64_t nvme_peak = 0;
 };
 
 RunResult run_training(EngineConfig cfg, const GptConfig& model_cfg,
@@ -82,6 +84,9 @@ RunResult run_training(EngineConfig cfg, const GptConfig& model_cfg,
       }
       result.chunks_pipelined = engine.optimizer().stats().chunks_pipelined;
       result.gpu_peak = engine.resources().gpu().stats().peak_used;
+      const MemoryAccountant& acc = engine.resources().accountant();
+      result.cpu_peak = acc.peak(Tier::kCpu);
+      result.nvme_peak = acc.peak(Tier::kNvme);
     }
   });
   return result;
@@ -128,6 +133,18 @@ TEST_F(EngineTest, AllStrategiesProduceIdenticalTrainingTrajectories) {
     c.prefetch_depth = 0;
     configs["zero3_no_overlap"] = c;
   }
+  {
+    // Every NVMe shard and optimizer-state transfer synchronous.
+    EngineConfig c = preset_zero_infinity_nvme();
+    c.overlap_transfers = false;
+    configs["zero_inf_nvme_no_overlap"] = c;
+  }
+  {
+    // Broadcast retrieval (Sec. 6.1's baseline): no fuzz seed draws it.
+    EngineConfig c = preset_zero_infinity_cpu();
+    c.bandwidth_centric = false;
+    configs["zero_inf_cpu_broadcast"] = c;
+  }
 
   std::map<std::string, RunResult> results;
   for (auto& [name, cfg] : configs) {
@@ -145,12 +162,45 @@ TEST_F(EngineTest, AllStrategiesProduceIdenticalTrainingTrajectories) {
     }
   }
 
+  // Table 2's placement ladder: each row moves more model state off the
+  // GPU, so the GPU peak never rises down it. It falls at every rung but
+  // two: ZeRO-1 and ZeRO-2 both accumulate full fp32 gradients through
+  // backward, and Inf-CPU already left only the working set on the GPU.
+  struct Rung {
+    const char* from;
+    const char* to;
+    bool drops;
+  };
+  for (const Rung& r : {Rung{"data_parallel", "zero1", true},
+                        Rung{"zero1", "zero2", false},
+                        Rung{"zero2", "zero_offload", true},
+                        Rung{"zero_offload", "zero3", true},
+                        Rung{"zero3", "zero_inf_cpu", true},
+                        Rung{"zero_inf_cpu", "zero_inf_nvme", false}}) {
+    const std::uint64_t from = results.at(r.from).gpu_peak;
+    const std::uint64_t to = results.at(r.to).gpu_peak;
+    if (r.drops) {
+      EXPECT_LT(to, from) << r.from << " -> " << r.to;
+    } else {
+      EXPECT_LE(to, from) << r.from << " -> " << r.to;
+    }
+  }
+  // Host tiers hold bytes only on the rows that place state there: NVMe on
+  // the Inf-NVMe rows, CPU on ZeRO-Offload and every Inf row.
+  for (const auto& [name, r] : results) {
+    const bool nvme = name.starts_with("zero_inf_nvme");
+    const bool cpu = nvme || name == "zero_offload" ||
+                     name.starts_with("zero_inf_cpu");
+    EXPECT_EQ(r.nvme_peak > 0, nvme) << name << " nvme_peak " << r.nvme_peak;
+    EXPECT_EQ(r.cpu_peak > 0, cpu) << name << " cpu_peak " << r.cpu_peak;
+  }
 
   // The chunked-NVMe run really went through the pipeline.
   EXPECT_GT(results.at("zero_inf_nvme_chunked_act_nvme").chunks_pipelined, 0u);
   // Prefetching really happened for partitioned NVMe runs after iteration 1.
   EXPECT_GT(results.at("zero_inf_nvme").prefetch_hits, 0u);
   EXPECT_EQ(results.at("zero3_no_overlap").prefetch_hits, 0u);
+  EXPECT_EQ(results.at("zero_inf_nvme_no_overlap").prefetch_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,14 +57,15 @@ struct ServeOutcome {
   std::vector<RequestReport> request_reports;
   std::uint64_t kv_fetch_bytes = 0;
   std::uint64_t kv_spill_bytes = 0;
+  std::uint64_t param_fetch_bytes = 0;  // NVMe shard reads
 };
 
-ServeOutcome run_serve(int world, int max_batch, KvTier tier,
-                       const std::vector<ServeRequest>& requests,
+ServeOutcome run_serve(int world, int max_batch, Placement params,
+                       KvTier tier, const std::vector<ServeRequest>& requests,
                        const fs::path& dir, const std::string& log_path) {
   EngineConfig cfg;
   cfg.stage = ZeroStage::kStage3;
-  cfg.param_placement = Placement::kNvme;
+  cfg.param_placement = params;
   cfg.nvme_dir = dir.string();
   cfg.prefetch_depth = 2;
   cfg.persistence_threshold_elems = 32;
@@ -91,6 +92,7 @@ ServeOutcome run_serve(int world, int max_batch, KvTier tier,
       const auto st = eng.resources().mover().stats();
       out.kv_fetch_bytes = st.route(Route::kKvFetch).bytes;
       out.kv_spill_bytes = st.route(Route::kKvSpill).bytes;
+      out.param_fetch_bytes = st.route(Route::kNvmeFetch).bytes;
     }
   });
   return out;
@@ -114,9 +116,11 @@ TEST_F(ServeEngineTest, FourRankContinuousBatchingBitIdenticalToSequential) {
   const std::vector<ServeRequest> reqs = make_requests(10);
   const std::string log = (dir_ / "serve.jsonl").string();
   const ServeOutcome batched =
-      run_serve(4, /*max_batch=*/4, KvTier::kNvme, reqs, dir_, log);
+      run_serve(4, /*max_batch=*/4, Placement::kNvme, KvTier::kNvme, reqs,
+                dir_, log);
   const ServeOutcome sequential =
-      run_serve(4, /*max_batch=*/1, KvTier::kNvme, reqs, dir_, "");
+      run_serve(4, /*max_batch=*/1, Placement::kNvme, KvTier::kNvme, reqs,
+                dir_, "");
 
   ASSERT_EQ(batched.tokens.size(), reqs.size());
   EXPECT_EQ(batched.tokens, sequential.tokens);
@@ -153,27 +157,33 @@ TEST_F(ServeEngineTest, FourRankContinuousBatchingBitIdenticalToSequential) {
   EXPECT_NE(lines.back().find("\"p99_latency_seconds\":"), std::string::npos);
 }
 
-// KV tier is a placement knob, not a values knob.
+// KV tier and parameter placement are placement knobs, not values knobs:
+// NVMe weight streaming decodes the same tokens as all-GPU parameters.
 TEST_F(ServeEngineTest, KvTiersProduceIdenticalTokenStreams) {
   const std::vector<ServeRequest> reqs = make_requests(5);
   const ServeOutcome gpu =
-      run_serve(2, 3, KvTier::kGpu, reqs, dir_, "");
+      run_serve(2, 3, Placement::kNvme, KvTier::kGpu, reqs, dir_, "");
   const ServeOutcome cpu =
-      run_serve(2, 3, KvTier::kCpu, reqs, dir_, "");
+      run_serve(2, 3, Placement::kNvme, KvTier::kCpu, reqs, dir_, "");
   const ServeOutcome nvme =
-      run_serve(2, 3, KvTier::kNvme, reqs, dir_, "");
+      run_serve(2, 3, Placement::kNvme, KvTier::kNvme, reqs, dir_, "");
+  const ServeOutcome all_gpu =
+      run_serve(2, 3, Placement::kGpu, KvTier::kGpu, reqs, dir_, "");
   EXPECT_EQ(gpu.tokens, cpu.tokens);
   EXPECT_EQ(gpu.tokens, nvme.tokens);
+  EXPECT_EQ(gpu.tokens, all_gpu.tokens);
   EXPECT_EQ(gpu.kv_fetch_bytes, 0u);  // resident: no route traffic
   EXPECT_GT(cpu.kv_fetch_bytes, 0u);
   EXPECT_GT(nvme.kv_fetch_bytes, 0u);
+  EXPECT_EQ(all_gpu.param_fetch_bytes, 0u);
+  EXPECT_GT(nvme.param_fetch_bytes, 0u);
 }
 
 // Incremental KV decode == full-window recompute, request by request.
 TEST_F(ServeEngineTest, MatchesFullRecomputeGreedyDecode) {
   const std::vector<ServeRequest> reqs = make_requests(3);
   const ServeOutcome served =
-      run_serve(2, 2, KvTier::kCpu, reqs, dir_, "");
+      run_serve(2, 2, Placement::kNvme, KvTier::kCpu, reqs, dir_, "");
 
   EngineConfig cfg;
   cfg.stage = ZeroStage::kStage3;
@@ -209,9 +219,10 @@ TEST_F(ServeEngineTest, StaggeredArrivalsGateAdmissionWithoutChangingTokens) {
   staggered[2].arrival_seconds = 0.02;
   staggered[3].arrival_seconds = 0.05;
   const ServeOutcome open_loop =
-      run_serve(1, 2, KvTier::kCpu, staggered, dir_, "");
+      run_serve(1, 2, Placement::kNvme, KvTier::kCpu, staggered, dir_, "");
   const ServeOutcome all_at_zero =
-      run_serve(1, 2, KvTier::kCpu, make_requests(4), dir_, "");
+      run_serve(1, 2, Placement::kNvme, KvTier::kCpu, make_requests(4), dir_,
+                "");
   EXPECT_EQ(open_loop.tokens, all_at_zero.tokens);
   ASSERT_EQ(open_loop.request_reports.size(), 4u);
   for (const RequestReport& r : open_loop.request_reports) {

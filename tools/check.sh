@@ -12,6 +12,7 @@
 #   tools/check.sh straggler       # straggler detection/rebalance suites
 #   tools/check.sh serve           # streamed-execution + serving suites
 #   tools/check.sh kernels         # tensor-kernel suite (GEMM oracle)
+#   tools/check.sh bench           # zi_bench smoke run (CI's zi-bench-smoke)
 #   tools/check.sh tsan            # ZI_SANITIZE=thread build + concurrency tests
 #   tools/check.sh asan            # ZI_SANITIZE=address build + full ctest
 #   tools/check.sh ubsan           # ZI_SANITIZE=undefined build + full ctest
@@ -144,6 +145,14 @@ run_kernels() {
     || FAILED=1
 }
 
+# The repository benchmark's smoke run, the command CI's zi-bench-smoke job
+# runs: builds zi_bench into .bench_build/ and runs every workload briefly,
+# failing on a correctness gate, a missing metric or a dropped trace event.
+run_bench() {
+  note "bench (python3 zi_bench/run.py --smoke)"
+  python3 zi_bench/run.py --smoke || FAILED=1
+}
+
 # $1: mode name, $2: ZI_SANITIZE value ('' = off), $3: ctest label ('' = all)
 run_build() {
   local mode="$1" sanitize="$2" label="$3"
@@ -171,13 +180,14 @@ for step in "${STEPS[@]}"; do
     straggler) run_straggler ;;
     serve)  run_serve ;;
     kernels) run_kernels ;;
+    bench)  run_bench ;;
     # TSan: the concurrency-labeled subset (comm / aio / thread pool /
     # stress / lock tracker) — the full suite under TSan takes too long for
     # a pre-commit loop; CI runs the same subset.
     tsan)   run_build tsan thread concurrency ;;
     asan)   run_build asan address "" ;;
     ubsan)  run_build ubsan undefined "" ;;
-    *) echo "unknown step: $step (known: ${ALL[*]} sched transport straggler serve kernels)"; exit 2 ;;
+    *) echo "unknown step: $step (known: ${ALL[*]} sched transport straggler serve kernels bench)"; exit 2 ;;
   esac
 done
 
