@@ -2,11 +2,14 @@
 // compute substrate under the training engine.
 #include <benchmark/benchmark.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "common/half.hpp"
 #include "common/rng.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
+#include "scalar_oracles.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -104,21 +107,69 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax)->Arg(128)->Arg(1024);
 
-void BM_Fp16Cast(benchmark::State& state) {
+// fp32 inputs that exercise every conversion case in turn: normals,
+// values in the fp16 subnormal range, exact round-to-even ties, and
+// magnitudes near (and past) the fp16 overflow threshold.
+std::vector<float> conversion_mix(std::size_t n) {
+  auto v = randn(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 4) {
+      case 1:
+        v[i] *= 1e-6f;
+        break;
+      case 2: {
+        // Halfway between two adjacent fp16 values.
+        const auto h = std::bit_cast<std::uint32_t>(half(v[i]).to_float());
+        v[i] = std::bit_cast<float>(h + 0x1000u);
+        break;
+      }
+      case 3:
+        v[i] *= 3e4f;
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+void BM_F32ToF16(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto f = randn(n);
+  const auto f = conversion_mix(n);
   std::vector<half> h(n);
-  std::vector<float> back(n);
   for (auto _ : state) {
-    cast_f32_to_f16(f, h);
-    cast_f16_to_f32(h, back);
-    benchmark::DoNotOptimize(back.data());
+    floats_to_halves(f, h);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 6);
 }
-BENCHMARK(BM_Fp16Cast)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_F32ToF16)->Arg(1 << 14)->Arg(1 << 18);
 
+void BM_F16ToF32(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<half> h(n);
+  floats_to_halves(conversion_mix(n), h);
+  std::vector<float> f(n);
+  for (auto _ : state) {
+    halves_to_floats(h, f);
+    benchmark::DoNotOptimize(f.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 6);
+}
+BENCHMARK(BM_F16ToF32)->Arg(1 << 14)->Arg(1 << 18);
+
+void set_elem_rate(benchmark::State& state, std::size_t n) {
+  state.counters["Melem/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(n) / 1e6,
+      benchmark::Counter::kIsRate);
+}
+
+// The scalar Adam loop the fused kernel replaced (the tests' oracle), over
+// an fp32 gradient.
 void BM_AdamStep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   AdamConfig cfg;
@@ -127,14 +178,32 @@ void BM_AdamStep(benchmark::State& state) {
   const auto g = randn(n);
   std::int64_t step = 0;
   for (auto _ : state) {
-    adam_step(cfg, ++step, w, m, v, g);
+    oracle::adam_step(cfg, ++step, w, m, v, g);
     benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
   }
-  state.counters["Melem/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(n) / 1e6,
-      benchmark::Counter::kIsRate);
+  set_elem_rate(state, n);
 }
-BENCHMARK(BM_AdamStep)->Arg(1 << 14)->Arg(1 << 18);
+// 32768 is EngineConfig::optimizer_chunk_elems, the NVMe optimizer's chunk.
+BENCHMARK(BM_AdamStep)->Arg(1 << 14)->Arg(1 << 15)->Arg(1 << 18);
+
+// The product path: fp16 gradient in, fp32 state updated, fp16 out.
+void BM_FusedAdamStep(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  AdamConfig cfg;
+  auto w = randn(n);
+  std::vector<float> m(n, 0.0f), v(n, 0.0f);
+  std::vector<half> g(n), updated(n);
+  floats_to_halves(randn(n), g);
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    fused_adam_step(cfg, ++step, w, m, v, g, updated);
+    benchmark::DoNotOptimize(updated.data());
+    benchmark::ClobberMemory();
+  }
+  set_elem_rate(state, n);
+}
+BENCHMARK(BM_FusedAdamStep)->Arg(1 << 14)->Arg(1 << 15)->Arg(1 << 18);
 
 }  // namespace
 

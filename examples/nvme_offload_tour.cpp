@@ -119,7 +119,7 @@ void tour_chunked_optimizer(const fs::path& dir) {
     store.write(mom, z);
     store.write(var, z);
   }
-  std::vector<float> grad(kElems, 0.01f);
+  std::vector<half> grad(kElems, half(0.01f));
   AdamConfig adam;
 
   auto run = [&](bool overlap) {
@@ -127,6 +127,7 @@ void tour_chunked_optimizer(const fs::path& dir) {
     const std::int64_t chunks = kElems / kChunk;
     struct Buf {
       std::vector<float> m, mo, v;
+      std::vector<half> updated;
       AioStatus lm, lmo, lv, sm, smo, sv;
     };
     Buf bufs[2];
@@ -134,6 +135,7 @@ void tour_chunked_optimizer(const fs::path& dir) {
       b.m.resize(kChunk);
       b.mo.resize(kChunk);
       b.v.resize(kChunk);
+      b.updated.resize(kChunk);
     }
     auto issue_load = [&](std::int64_t c, Buf& b) {
       const std::uint64_t off = static_cast<std::uint64_t>(c) * kChunk * 4;
@@ -159,10 +161,12 @@ void tour_chunked_optimizer(const fs::path& dir) {
       b.lm.wait();
       b.lmo.wait();
       b.lv.wait();
-      adam_step(adam, 1, {b.m.data(), static_cast<std::size_t>(kChunk)},
-                {b.mo.data(), static_cast<std::size_t>(kChunk)},
-                {b.v.data(), static_cast<std::size_t>(kChunk)},
-                {grad.data() + c * kChunk, static_cast<std::size_t>(kChunk)});
+      fused_adam_step(
+          adam, 1, {b.m.data(), static_cast<std::size_t>(kChunk)},
+          {b.mo.data(), static_cast<std::size_t>(kChunk)},
+          {b.v.data(), static_cast<std::size_t>(kChunk)},
+          {grad.data() + c * kChunk, static_cast<std::size_t>(kChunk)},
+          b.updated);
       const std::uint64_t off = static_cast<std::uint64_t>(c) * kChunk * 4;
       b.sm = store.write_async(master, {reinterpret_cast<std::byte*>(b.m.data()),
                                         kChunk * 4}, off);

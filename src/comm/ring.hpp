@@ -22,13 +22,6 @@
 
 namespace zi {
 
-namespace ring_detail {
-inline float to_float(float v) { return v; }
-inline float to_float(half v) { return v.to_float(); }
-inline void from_float(float& dst, float v) { dst = v; }
-inline void from_float(half& dst, float v) { dst = half(v); }
-}  // namespace ring_detail
-
 /// Ring allgather: recv must be send.size() * world; each rank forwards
 /// its chunk around the ring in (world-1) steps.
 template <typename T>
@@ -94,9 +87,7 @@ void ring_reduce_scatter_sum(Communicator& comm, std::span<const T> send,
 
   // Accumulators in fp32 (matching the direct collectives' precision).
   std::vector<float> acc(send.size());
-  for (std::size_t i = 0; i < send.size(); ++i) {
-    acc[i] = ring_detail::to_float(send[i]);
-  }
+  detail::to_floats(send.data(), acc.data(), send.size());
   std::vector<float> inbox(chunk);
   // Classic ring schedule, relabeled so rank r finishes owning chunk r
   // (matching the direct collective's ownership): run as virtual rank
@@ -114,10 +105,8 @@ void ring_reduce_scatter_sum(Communicator& comm, std::span<const T> send,
     for (std::size_t i = 0; i < chunk; ++i) dst[i] += inbox[i];
   }
   // After the loop this rank's fully-reduced chunk is its own index.
-  const float* mine = acc.data() + chunk * static_cast<std::size_t>(rank);
-  for (std::size_t i = 0; i < chunk; ++i) {
-    ring_detail::from_float(recv[i], mine[i]);
-  }
+  detail::from_floats(acc.data() + chunk * static_cast<std::size_t>(rank),
+                      recv.data(), chunk);
 }
 
 template <typename T>

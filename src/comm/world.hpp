@@ -38,6 +38,7 @@
 // transports implement these semantics byte-for-byte.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -543,20 +544,67 @@ class Communicator {
   /// for an unbounded stall, until the world is poisoned by a detector.
   void injected_stall(const char* op, std::uint64_t cap_us);
 
-  // Accumulation helpers: fp32 accumulate regardless of storage type.
-  static float load_as_float(const float* p) { return *p; }
-  static float load_as_float(const half* p) { return p->to_float(); }
-  static float load_as_float(const double* p) { return static_cast<float>(*p); }
-  static void store_from_float(float* p, float v) { *p = v; }
-  static void store_from_float(half* p, float v) { *p = half(v); }
-  static void store_from_float(double* p, float v) { *p = v; }
-
   int rank_;
   int global_rank_;
   std::shared_ptr<detail::Transport> transport_;
   int split_calls_ = 0;  ///< lockstep ordinal for subgroup registry keys
   double sync_wait_seconds_ = 0.0;  ///< see comm_wait_seconds()
 };
+
+// ---------------------------------------------------------------------------
+// Reduction kernel shared by reduce_scatter_sum and allreduce_sum.
+
+namespace detail {
+
+/// Elements reduced per block: the fp32 scratch is at most two blocks,
+/// whatever the message size.
+inline constexpr std::size_t kReduceBlockElems = 2048;
+
+inline void to_floats(const float* src, float* dst, std::size_t n) {
+  std::copy_n(src, n, dst);
+}
+inline void to_floats(const half* src, float* dst, std::size_t n) {
+  halves_to_floats({src, n}, {dst, n});
+}
+inline void to_floats(const double* src, float* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
+}
+inline void from_floats(const float* src, float* dst, std::size_t n) {
+  std::copy_n(src, n, dst);
+}
+inline void from_floats(const float* src, half* dst, std::size_t n) {
+  floats_to_halves({src, n}, {dst, n});
+}
+inline void from_floats(const float* src, double* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+}
+
+/// out[i] = Σ_r srcs[r][offset + i] in fp32, summed from +0.0f in ascending
+/// rank order (so −0.0 contributions sum to +0.0), stored back as T.
+template <typename T>
+void reduce_sum(const std::vector<const T*>& srcs, std::size_t offset,
+                std::span<T> out) {
+  const std::size_t block = std::min(kReduceBlockElems, out.size());
+  std::vector<float> scratch(2 * block);
+  float* acc = scratch.data();
+  float* term = acc + block;
+  for (std::size_t lo = 0; lo < out.size(); lo += block) {
+    const std::size_t n = std::min(block, out.size() - lo);
+    std::fill_n(acc, n, 0.0f);
+    for (const T* src : srcs) {
+      to_floats(src + offset + lo, term, n);
+      // Eight-wide inner loop: the compiler turns it into vector adds.
+      std::size_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        for (std::size_t l = 0; l < 8; ++l) acc[i + l] += term[i + l];
+      }
+      for (; i < n; ++i) acc[i] += term[i];
+    }
+    from_floats(acc, out.data() + lo, n);
+  }
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Template implementations
@@ -639,17 +687,12 @@ void Communicator::reduce_scatter_sum(std::span<const T> send,
   // Each rank reduces its own chunk: ascending rank order, fp32 accumulation.
   std::vector<const T*> srcs(n);
   for (std::size_t r = 0; r < n; ++r) {
+    ZI_CHECK_MSG(t.peer_count(r) == send.size(),
+                 "reduce_scatter: unequal send sizes");
     srcs[r] = static_cast<const T*>(t.peer_data(static_cast<int>(r)));
   }
-  const std::size_t chunk = recv.size();
-  const std::size_t base = static_cast<std::size_t>(rank_) * chunk;
-  for (std::size_t i = 0; i < chunk; ++i) {
-    float acc = 0.0f;
-    for (std::size_t r = 0; r < n; ++r) {
-      acc += load_as_float(srcs[r] + base + i);
-    }
-    store_from_float(recv.data() + i, acc);
-  }
+  detail::reduce_sum<T>(srcs, static_cast<std::size_t>(rank_) * recv.size(),
+                        recv);
   sync_point("reduce_scatter");
 }
 
@@ -675,21 +718,13 @@ void Communicator::allreduce_sum(std::span<T> data) {
   }
   const std::size_t lo = total * static_cast<std::size_t>(rank_) / n;
   const std::size_t hi = total * (static_cast<std::size_t>(rank_) + 1) / n;
-  std::vector<float> scratch(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    float acc = 0.0f;
-    for (std::size_t r = 0; r < n; ++r) {
-      acc += load_as_float(srcs[r] + i);
-    }
-    scratch[i - lo] = acc;
-  }
+  std::vector<T> reduced(hi - lo);
+  detail::reduce_sum<T>(srcs, lo, reduced);
   sync_point("allreduce");  // all slices reduced before anyone overwrites
   // Every rank writes its slice into every rank's buffer.
   for (std::size_t r = 0; r < n; ++r) {
     T* dst = static_cast<T*>(t.peer_data_mut(static_cast<int>(r)));
-    for (std::size_t i = lo; i < hi; ++i) {
-      store_from_float(dst + i, scratch[i - lo]);
-    }
+    std::copy(reduced.begin(), reduced.end(), dst + lo);
   }
   sync_point("allreduce");
   // Pull this rank's reduced buffer back out of the transport (no-op when

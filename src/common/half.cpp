@@ -4,6 +4,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "common/error.hpp"
+
 namespace zi {
 
 namespace {
@@ -84,15 +86,139 @@ float half_bits_to_float(std::uint16_t h) noexcept {
   return bits_float(sign | fexp | (mant << 13));
 }
 
-bool half::isnan() const noexcept {
-  return (bits_ & 0x7C00u) == 0x7C00u && (bits_ & 0x3FFu) != 0;
+// ---------------------------------------------------------------------------
+// Bulk conversions. Each lane runs the integer form of the scalar routines
+// above, every case computed and the right one selected by mask:
+//   f16→f32  shift exponent and mantissa into place and rebias; Inf/NaN get
+//            the float's all-ones exponent (payload kept); subnormals are
+//            rebuilt exactly as (2^-14 + m·2^-24) − 2^-14 in float.
+//   f32→f16  |x| ≥ 65536 gives Inf, or the quiet NaN 0x7E00 for a NaN;
+//            |x| < 2^-14 rounds by the float add |x| + 0.5, whose result
+//            ulp is the half subnormal step 2^-24, so the FPU's own
+//            round-to-nearest-even does the work; normals add the
+//            rebias, 0xFFF and the kept mantissa's low bit, then shift
+//            (round half to even; a carry ripples into the exponent and,
+//            past 65504, to Inf).
+// The exhaustive tests in tests/test_half.cpp hold every lane to the
+// scalar routines.
+
+namespace {
+
+// Generic 16-byte vectors: SSE2 at the x86-64 baseline ISA.
+using V4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+using U4 = std::uint32_t __attribute__((vector_size(16)));
+using H8 = std::uint16_t __attribute__((vector_size(16)));
+
+constexpr std::size_t kLanes = 8;  // halves per 16-byte vector
+
+V4 halves_to_float4(I4 h) {
+  const I4 shifted = (h & 0x7FFF) << 13;
+  const I4 exp = shifted & 0x0F800000;
+  const I4 special = exp == 0x0F800000;  // Inf / NaN
+  const I4 tiny = exp == 0;              // zero / subnormal
+  const I4 normal = shifted + ((127 - 15) << 23);
+  const I4 wide = normal + (special & ((128 - 16) << 23));
+  const I4 renorm =
+      std::bit_cast<I4>(std::bit_cast<V4>(normal + (1 << 23)) -
+                        std::bit_cast<V4>(I4{} + (113 << 23)));
+  const I4 mag = (tiny & renorm) | (~tiny & wide);
+  return std::bit_cast<V4>(mag | ((h & 0x8000) << 16));
 }
 
-bool half::isinf() const noexcept {
-  return (bits_ & 0x7FFFu) == 0x7C00u;
+I4 float4_to_halves(V4 f) {
+  const I4 x = std::bit_cast<I4>(f);
+  const I4 a = x & 0x7FFFFFFF;  // |x|; signed compares below are safe
+  const I4 big = a >= ((127 + 16) << 23);
+  const I4 inf_nan = 0x7C00 | ((a > 0x7F800000) & 0x0200);
+  const I4 small = a < (113 << 23);
+  const I4 sub =
+      std::bit_cast<I4>(std::bit_cast<V4>(a) + 0.5f) - (126 << 23);
+  // Unsigned: the sum wraps in the Inf/NaN lanes, which `big` discards.
+  const U4 ua = std::bit_cast<U4>(a);
+  const I4 norm = std::bit_cast<I4>(
+      (ua - (112u << 23) + 0xFFFu + ((ua >> 13) & 1u)) >> 13);
+  const I4 mag = (big & inf_nan) | (~big & ((small & sub) | (~small & norm)));
+  return mag | ((x >> 16) & 0x8000);
 }
 
-bool half::isfinite() const noexcept { return (bits_ & 0x7C00u) != 0x7C00u; }
+void halves_to_floats8(const half* src, float* dst) {
+  H8 h;
+  std::memcpy(&h, src, sizeof h);
+  const H8 zero{};
+  const I4 lo = std::bit_cast<I4>(
+      __builtin_shufflevector(h, zero, 0, 8, 1, 9, 2, 10, 3, 11));
+  const I4 hi = std::bit_cast<I4>(
+      __builtin_shufflevector(h, zero, 4, 12, 5, 13, 6, 14, 7, 15));
+  const V4 f[2] = {halves_to_float4(lo), halves_to_float4(hi)};
+  std::memcpy(dst, f, sizeof f);
+}
+
+void floats_to_halves8(const float* src, half* dst) {
+  V4 f[2];
+  std::memcpy(f, src, sizeof f);
+  const H8 lo = std::bit_cast<H8>(float4_to_halves(f[0]));
+  const H8 hi = std::bit_cast<H8>(float4_to_halves(f[1]));
+  const H8 h = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
+  std::memcpy(static_cast<void*>(dst), &h, sizeof h);
+}
+
+}  // namespace
+
+void halves_to_floats(std::span<const half> src, std::span<float> dst) {
+  ZI_CHECK_MSG(src.size() == dst.size(), "halves_to_floats: "
+                                             << src.size() << " halves into "
+                                             << dst.size() << " floats");
+  const std::size_t n = src.size();
+  const std::size_t full = n - n % kLanes;
+  for (std::size_t i = 0; i < full; i += kLanes) {
+    halves_to_floats8(src.data() + i, dst.data() + i);
+  }
+  if (full == n) return;
+  // Tail: the same kernel over a zero-padded copy.
+  half in[kLanes] = {};
+  float out[kLanes] = {};
+  std::memcpy(static_cast<void*>(in), src.data() + full,
+              (n - full) * sizeof(half));
+  halves_to_floats8(in, out);
+  std::memcpy(dst.data() + full, out, (n - full) * sizeof(float));
+}
+
+void floats_to_halves(std::span<const float> src, std::span<half> dst) {
+  ZI_CHECK_MSG(src.size() == dst.size(), "floats_to_halves: "
+                                             << src.size() << " floats into "
+                                             << dst.size() << " halves");
+  const std::size_t n = src.size();
+  const std::size_t full = n - n % kLanes;
+  for (std::size_t i = 0; i < full; i += kLanes) {
+    floats_to_halves8(src.data() + i, dst.data() + i);
+  }
+  if (full == n) return;
+  float in[kLanes] = {};
+  half out[kLanes];
+  std::memcpy(in, src.data() + full, (n - full) * sizeof(float));
+  floats_to_halves8(in, out);
+  std::memcpy(static_cast<void*>(dst.data() + full), out,
+              (n - full) * sizeof(half));
+}
+
+bool all_finite(std::span<const half> src) noexcept {
+  const std::size_t n = src.size();
+  const std::size_t full = n - n % kLanes;
+  H8 special{};
+  for (std::size_t i = 0; i < full; i += kLanes) {
+    H8 h;
+    std::memcpy(&h, src.data() + i, sizeof h);
+    special |= std::bit_cast<H8>((h & 0x7C00) == 0x7C00);
+  }
+  for (std::size_t i = full; i < n; ++i) {
+    if (!src[i].isfinite()) return false;
+  }
+  std::uint64_t any[2];
+  std::memcpy(any, &special, sizeof any);
+  return (any[0] | any[1]) == 0;
+}
+
 
 std::ostream& operator<<(std::ostream& os, half h) { return os << h.to_float(); }
 

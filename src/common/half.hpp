@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 
 namespace zi {
 
@@ -55,9 +56,11 @@ class half {
   friend bool operator<=(half a, half b) noexcept { return a.to_float() <= b.to_float(); }
   friend bool operator>=(half a, half b) noexcept { return a.to_float() >= b.to_float(); }
 
-  bool isfinite() const noexcept;
-  bool isnan() const noexcept;
-  bool isinf() const noexcept;
+  bool isfinite() const noexcept { return (bits_ & 0x7C00u) != 0x7C00u; }
+  bool isnan() const noexcept {
+    return (bits_ & 0x7C00u) == 0x7C00u && (bits_ & 0x3FFu) != 0;
+  }
+  bool isinf() const noexcept { return (bits_ & 0x7FFFu) == 0x7C00u; }
 
   /// Largest finite binary16 value (65504).
   static half max() noexcept { return from_bits(0x7BFF); }
@@ -72,6 +75,19 @@ class half {
 static_assert(sizeof(half) == 2, "half must be exactly 2 bytes");
 
 std::ostream& operator<<(std::ostream& os, half h);
+
+// Bulk conversions: the one path every fp16 array crosses (gather unpack,
+// gradient pack, reduction sums, optimizer). Branchless integer and float
+// ops on 16-byte vectors, eight elements at a time, tails included. They
+// return exactly the bits of half_bits_to_float / float_to_half_bits for
+// every input: NaN payloads, ±0, subnormals and round-to-even ties.
+
+/// dst[i] = float(src[i]).
+void halves_to_floats(std::span<const half> src, std::span<float> dst);
+/// dst[i] = half(src[i]), round-to-nearest-even.
+void floats_to_halves(std::span<const float> src, std::span<half> dst);
+/// True if every element is finite (no Inf, no NaN).
+bool all_finite(std::span<const half> src) noexcept;
 
 /// bfloat16: float truncated to its top 16 bits (round-to-nearest-even).
 /// Included for completeness of the dtype system; the paper's recipe is fp16.

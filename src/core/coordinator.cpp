@@ -4,9 +4,9 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 
@@ -44,9 +44,9 @@ void ParamCoordinator::reduce_and_store_grad(Parameter* p) {
   // (the mixed-precision recipe). Pad to the shard grid, reduce-scatter.
   std::vector<half> padded(static_cast<std::size_t>(spec.padded_numel()),
                            half(0.0f));
-  cast_f32_to_f16(p->grad_tensor().span<float>(),
-                  std::span<half>(padded.data(),
-                                  static_cast<std::size_t>(p->numel())));
+  floats_to_halves(p->grad_tensor().span<float>(),
+                   std::span<half>(padded.data(),
+                                   static_cast<std::size_t>(p->numel())));
   // Weighted shards: spread the flat gradient into equal collective slots
   // (zero tails) so the reduce-scatter stays slot-aligned and rank-order
   // deterministic (no-op for uniform specs).

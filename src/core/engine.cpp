@@ -5,12 +5,12 @@
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "core/ckpt_io.hpp"
 #include "core/elastic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 
@@ -400,9 +400,9 @@ void ZeroEngine::reduce_replicated_grads(bool accumulate) {
   for (Parameter* p : local_store_->params()) {
     const ShardSpec& spec = store_.opt_spec(p);
     padded.assign(static_cast<std::size_t>(spec.padded_numel()), half(0.0f));
-    cast_f32_to_f16(p->grad_tensor().span<float>(),
-                    std::span<half>(padded.data(),
-                                    static_cast<std::size_t>(p->numel())));
+    floats_to_halves(p->grad_tensor().span<float>(),
+                     std::span<half>(padded.data(),
+                                     static_cast<std::size_t>(p->numel())));
     shard.resize(static_cast<std::size_t>(spec.shard_elems));
     if (config_.grads_partitioned()) {
       comm_.reduce_scatter_sum<half>(padded, shard);

@@ -1,6 +1,6 @@
 #include "core/megatron_engine.hpp"
 
-#include "tensor/cast.hpp"
+#include "common/half.hpp"
 #include "tensor/ops.hpp"
 
 namespace zi {
@@ -57,17 +57,15 @@ MegatronEngine::StepStats MegatronEngine::train_step(
   // Gradient averaging over the data-parallel dimension only (tensor-
   // parallel slices are disjoint; replicated params have identical grads
   // on every tp rank by construction).
-  std::vector<half> grad16;
+  const auto& params = local_store_->params();
+  std::vector<std::vector<half>> grad16(params.size());
   bool overflow = false;
-  for (Parameter* p : local_store_->params()) {
-    grad16.resize(static_cast<std::size_t>(p->numel()));
-    cast_f32_to_f16(p->grad_tensor().span<float>(), grad16);
-    grid_.dp.allreduce_sum<half>(grad16);
-    for (const half h : grad16) {
-      if (!h.isfinite()) overflow = true;
-    }
-    // Write the reduced fp16 grads back as fp32 for the optimizer.
-    cast_f16_to_f32(grad16, p->grad_tensor().span<float>());
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    Parameter* p = params[k];
+    grad16[k].resize(static_cast<std::size_t>(p->numel()));
+    floats_to_halves(p->grad_tensor().span<float>(), grad16[k]);
+    grid_.dp.allreduce_sum<half>(grad16[k]);
+    if (!all_finite(grad16[k])) overflow = true;
   }
   overflow = world_.allreduce_or(overflow);
   st.global_loss = static_cast<float>(
@@ -76,12 +74,10 @@ MegatronEngine::StepStats MegatronEngine::train_step(
   if (st.skipped) return st;
 
   ++opt_step_;
-  const auto& params = local_store_->params();
   for (std::size_t k = 0; k < params.size(); ++k) {
-    Parameter* p = params[k];
-    adam_step(config_.adam, opt_step_, master_[k], momentum_[k], variance_[k],
-              p->grad_tensor().span<float>(), cur_scale);
-    cast_f32_to_f16(master_[k], local_store_->fp16(p).span<half>());
+    fused_adam_step(config_.adam, opt_step_, master_[k], momentum_[k],
+                    variance_[k], grad16[k],
+                    local_store_->fp16(params[k]).span<half>(), cur_scale);
   }
   local_store_->refresh_full_from_fp16();
   return st;

@@ -1,11 +1,12 @@
 #include "core/optimizer_driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "move/pipeline.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
 #include "tensor/ops.hpp"
 
 namespace zi {
@@ -17,6 +18,8 @@ std::span<std::byte> bytes_of(std::span<float> s) {
 std::span<const std::byte> cbytes_of(std::span<const float> s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size_bytes()};
 }
+// Gradient elements widened per block in local_grad_sqnorm.
+constexpr std::size_t kSqnormBlock = 1024;
 }  // namespace
 
 OptimizerDriver::OptimizerDriver(ModelStateStore& store, RankResources& res,
@@ -32,9 +35,7 @@ bool OptimizerDriver::local_overflow() const {
     const ShardSpec& spec = store_.opt_spec(p);
     shard.resize(static_cast<std::size_t>(spec.shard_elems));
     store_.load_grad_shard(p, shard);
-    for (const half h : shard) {
-      if (!h.isfinite()) return true;
-    }
+    if (!all_finite(shard)) return true;
   }
   return false;
 }
@@ -43,14 +44,21 @@ double OptimizerDriver::local_grad_sqnorm(float grad_scale) const {
   const double inv = 1.0 / static_cast<double>(grad_scale);
   double acc = 0.0;
   std::vector<half> shard;
+  std::vector<float> widened(kSqnormBlock);
   for (Parameter* p : store_.params()) {
     const ShardSpec& spec = store_.opt_spec(p);
     shard.resize(static_cast<std::size_t>(spec.shard_elems));
     store_.load_grad_shard(p, shard);
-    // Padding elements are exact zeros and contribute nothing.
-    for (const half h : shard) {
-      const double g = static_cast<double>(h.to_float()) * inv;
-      acc += g * g;
+    // Padding elements are exact zeros and contribute nothing. Widened a
+    // block at a time; the double sum keeps element order.
+    for (std::size_t lo = 0; lo < shard.size(); lo += kSqnormBlock) {
+      const std::size_t n = std::min(kSqnormBlock, shard.size() - lo);
+      halves_to_floats(std::span<const half>(shard).subspan(lo, n),
+                       {widened.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        const double g = static_cast<double>(widened[i]) * inv;
+        acc += g * g;
+      }
     }
   }
   return acc;
@@ -80,24 +88,19 @@ void OptimizerDriver::step_direct(Parameter* p, std::int64_t step_num,
   const ShardSpec& spec = store_.opt_spec(p);
   const auto n = static_cast<std::size_t>(spec.shard_elems);
 
-  // Gradient: fp16 shard → fp32 (unscaling happens inside adam_step).
   std::vector<half> grad16(n);
   store_.load_grad_shard(p, grad16);
-  std::vector<float> grad(n);
-  cast_f16_to_f32(grad16, grad);
 
   float* master = reinterpret_cast<float*>(store_.master(p).data());
   float* momentum = reinterpret_cast<float*>(store_.momentum(p).data());
   float* variance = reinterpret_cast<float*>(store_.variance(p).data());
   ZI_CHECK_MSG(master != nullptr, "optimizer state for " << p->name()
                                                          << " not addressable");
-  adam_step(config_.adam, step_num, {master, n}, {momentum, n}, {variance, n},
-            grad, grad_scale, clip_coef);
-  ++stats_.direct_params;
-
-  // fp16 write-back of the updated shard.
+  // fp16 gradient in, fp16 write-back of the updated shard out.
   std::vector<half> updated16(n);
-  cast_f32_to_f16(std::span<const float>(master, n), updated16);
+  fused_adam_step(config_.adam, step_num, {master, n}, {momentum, n},
+                  {variance, n}, grad16, updated16, grad_scale, clip_coef);
+  ++stats_.direct_params;
   if (write_param_shards) {
     store_.store_param_shard_async(p, updated16).wait();
   }
@@ -120,7 +123,6 @@ void OptimizerDriver::step_chunked_nvme(Parameter* p, std::int64_t step_num,
   struct ChunkBuf {
     std::vector<float> master, momentum, variance;
     std::vector<half> grad16, updated16;
-    std::vector<float> grad;
     TransferHandle load_m, load_mom, load_var;
     TransferHandle store_m, store_mom, store_var, store_p;
     std::int64_t elems = 0;
@@ -132,7 +134,6 @@ void OptimizerDriver::step_chunked_nvme(Parameter* p, std::int64_t step_num,
     b.momentum.resize(cap);
     b.variance.resize(cap);
     b.grad16.resize(cap);
-    b.grad.resize(cap);
     b.updated16.resize(cap);
   }
 
@@ -170,14 +171,11 @@ void OptimizerDriver::step_chunked_nvme(Parameter* p, std::int64_t step_num,
         // Gradient chunk from the gradient tier (chunked like the state so
         // CPU staging memory stays bounded).
         store_.load_grad_shard_chunk(p, {b.grad16.data(), n}, lo);
-        cast_f16_to_f32({b.grad16.data(), n}, {b.grad.data(), n});
-
-        adam_step(config_.adam, step_num, {b.master.data(), n},
-                  {b.momentum.data(), n}, {b.variance.data(), n},
-                  {b.grad.data(), n}, grad_scale, clip_coef);
+        fused_adam_step(config_.adam, step_num, {b.master.data(), n},
+                        {b.momentum.data(), n}, {b.variance.data(), n},
+                        {b.grad16.data(), n}, {b.updated16.data(), n},
+                        grad_scale, clip_coef);
         ++stats_.chunks_pipelined;
-
-        cast_f32_to_f16({b.master.data(), n}, {b.updated16.data(), n});
 
         const std::uint64_t byte_off =
             static_cast<std::uint64_t>(lo) * sizeof(float);

@@ -1,8 +1,10 @@
 #include "core/state_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 
 namespace zi {
 
@@ -14,6 +16,9 @@ std::span<const std::byte> as_bytes_span(std::span<const half> s) {
 std::span<std::byte> as_bytes_span(std::span<half> s) {
   return {reinterpret_cast<std::byte*>(s.data()), s.size_bytes()};
 }
+
+// Gradient elements widened per block in accumulate_grad_shard.
+constexpr std::size_t kAccumulateBlock = 1024;
 
 }  // namespace
 
@@ -55,9 +60,7 @@ ModelStateStore::ModelStateStore(RankResources& res,
       h16_scratch.resize(shard_n);
       init_shard_fp16(*p, e.opt_spec, opt_rank, h16_scratch);
       f32_scratch.resize(shard_n);
-      for (std::size_t i = 0; i < shard_n; ++i) {
-        f32_scratch[i] = h16_scratch[i].to_float();
-      }
+      halves_to_floats(h16_scratch, f32_scratch);
 
       const Tier opt_tier = config_.optimizer_placement;
       const std::uint64_t f32_bytes = shard_n * sizeof(float);
@@ -201,8 +204,15 @@ void ModelStateStore::accumulate_grad_shard(const Parameter* p,
   TierBuffer& grad = const_cast<TierBuffer&>(grad_buffer(p));
   std::vector<half> current(src.size());
   grad.load(as_bytes_span(std::span<half>(current)));
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    current[i] = half(current[i].to_float() + src[i].to_float());
+  // current = half(float(current) + float(src)), widened a block at a time.
+  std::vector<float> sum(kAccumulateBlock), term(kAccumulateBlock);
+  for (std::size_t lo = 0; lo < src.size(); lo += kAccumulateBlock) {
+    const std::size_t n = std::min(kAccumulateBlock, src.size() - lo);
+    const std::span<half> cur = std::span<half>(current).subspan(lo, n);
+    halves_to_floats(cur, {sum.data(), n});
+    halves_to_floats(src.subspan(lo, n), {term.data(), n});
+    for (std::size_t i = 0; i < n; ++i) sum[i] += term[i];
+    floats_to_halves({sum.data(), n}, cur);
   }
   grad.store(as_bytes_span(std::span<const half>(current)));
 }

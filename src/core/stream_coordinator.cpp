@@ -3,9 +3,9 @@
 #include <chrono>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 
@@ -212,9 +212,9 @@ void StreamCoordinator::fetch(Parameter* p, bool for_backward) {
   ArenaBlock block = res_.gpu().allocate(
       static_cast<std::uint64_t>(p->numel()) * sizeof(float));
   p->full_tensor() = Tensor::view(p->shape(), DType::kF32, block.data());
-  cast_f16_to_f32(std::span<const half>(padded.data(),
-                                        static_cast<std::size_t>(p->numel())),
-                  p->full_tensor().span<float>());
+  halves_to_floats(std::span<const half>(padded.data(),
+                                         static_cast<std::size_t>(p->numel())),
+                   p->full_tensor().span<float>());
   gathered_.emplace(p->id(), std::move(block));
   p->set_status(Parameter::Status::kAvailable);
   if (timed) {

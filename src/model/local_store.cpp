@@ -1,7 +1,7 @@
 #include "model/local_store.hpp"
 
 #include "common/error.hpp"
-#include "tensor/cast.hpp"
+#include "common/half.hpp"
 
 namespace zi {
 
@@ -27,7 +27,8 @@ LocalParamStore::LocalParamStore(Module& root) {
 
 void LocalParamStore::refresh_full_from_fp16() {
   for (Parameter* p : params_) {
-    cast_f16_to_f32(fp16_.at(p).span<half>(), p->full_tensor().span<float>());
+    halves_to_floats(fp16_.at(p).span<half>(),
+                     p->full_tensor().span<float>());
   }
 }
 

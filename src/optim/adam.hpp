@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <span>
 
+#include "common/half.hpp"
+
 namespace zi {
 
 struct AdamConfig {
@@ -24,13 +26,20 @@ struct AdamConfig {
   bool decoupled_weight_decay = true;
 };
 
-/// One Adam step over a flat range. `step` is 1-based (bias correction).
-/// `grad_scale` divides the incoming gradient (loss-scale un-scaling);
-/// `clip_coef` multiplies it afterwards (global-norm clipping).
-void adam_step(const AdamConfig& config, std::int64_t step,
-               std::span<float> master, std::span<float> momentum,
-               std::span<float> variance, std::span<const float> grad,
-               float grad_scale = 1.0f, float clip_coef = 1.0f);
+/// One fused Adam step over a flat range, the CPU-Adam of ZeRO-Offload:
+/// the fp16 gradient is widened, divided by `grad_scale` (loss-scale
+/// un-scaling), multiplied by `clip_coef` (global-norm clipping) and
+/// applied to the fp32 master, momentum and variance, and the updated
+/// master is written to `updated` in fp16 — one pass, four lanes at a time.
+/// `step` is 1-based (bias correction). Each lane runs the scalar
+/// update's operations in its order (separate multiplies and adds,
+/// correctly rounded division and square root), so every element gets the
+/// bits a per-element loop would give it.
+void fused_adam_step(const AdamConfig& config, std::int64_t step,
+                     std::span<float> master, std::span<float> momentum,
+                     std::span<float> variance, std::span<const half> grad,
+                     std::span<half> updated, float grad_scale = 1.0f,
+                     float clip_coef = 1.0f);
 
 /// Gradient-clipping coefficient for a global norm limit: min(1, max/||g||).
 /// `global_sqnorm` is the squared norm of the *unscaled* gradient.

@@ -1,17 +1,11 @@
-// Bulk precision conversions between fp16 storage and fp32 compute.
+// Tensor precision conversion between fp16 storage and fp32 compute. Bulk
+// span conversions are halves_to_floats / floats_to_halves (common/half.hpp).
 #pragma once
-
-#include <span>
 
 #include "common/half.hpp"
 #include "tensor/tensor.hpp"
 
 namespace zi {
-
-/// dst[i] = float(src[i])
-void cast_f16_to_f32(std::span<const half> src, std::span<float> dst);
-/// dst[i] = half(src[i]) — round-to-nearest-even.
-void cast_f32_to_f16(std::span<const float> src, std::span<half> dst);
 
 /// Tensor-level conversion into a new owned tensor of `dtype`.
 Tensor cast(const Tensor& src, DType dtype);

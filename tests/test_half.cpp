@@ -1,9 +1,16 @@
-// Unit + property tests for software fp16 / bf16.
+// Unit + property tests for software fp16 / bf16, and the bulk conversions
+// against the scalar routines (the exhaustive 2^32 f32→f16 sweep is
+// test_half_exhaustive.cpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/half.hpp"
+#include "common/rng.hpp"
 
 namespace zi {
 namespace {
@@ -99,6 +106,136 @@ TEST(HalfProperty, RelativeErrorBound) {
     const float back = half(v).to_float();
     EXPECT_LE(std::fabs(back - v), std::fabs(v) * (1.0f / 2048.0f) + 1e-20f)
         << v;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bulk conversions ≡ the scalar routines, bit for bit.
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+float float_of(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+TEST(HalfBulk, WidensAllHalves) {
+  std::vector<half> h(65536);
+  for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+    h[b] = half::from_bits(static_cast<std::uint16_t>(b));
+  }
+  std::vector<float> f(h.size());
+  halves_to_floats(h, f);
+  for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+    ASSERT_EQ(bits_of(f[b]),
+              bits_of(half_bits_to_float(static_cast<std::uint16_t>(b))))
+        << "half bits 0x" << std::hex << b;
+  }
+}
+
+// Floats that reach every branch of float_to_half_bits: each exponent
+// with mantissas that put a round-to-even tie (and its neighbours) at every
+// bit position, so the normal and every subnormal rounding shift see ties
+// with even and odd kept bits; the subnormal, overflow and 65520 edges;
+// NaN payloads, ±inf and ±0.
+std::vector<float> stratified_floats() {
+  std::vector<std::uint32_t> mants = {0, 0x7FFFFF, 0x400000, 0x3FFFFF};
+  for (int k = 0; k < 23; ++k) {
+    const std::uint32_t bit = 1u << k;
+    mants.push_back(bit);
+    mants.push_back(bit - 1);
+    mants.push_back(bit + 1);
+    for (int j = k + 1; j < 23; ++j) mants.push_back(bit | (1u << j));
+  }
+  Rng rng(3, 5);
+  std::vector<float> out;
+  for (std::uint32_t e = 0; e < 256; ++e) {
+    for (std::uint32_t m : mants) {
+      out.push_back(float_of((e << 23) | m));
+    }
+    for (int r = 0; r < 16; ++r) {
+      out.push_back(float_of((e << 23) | (rng.next_u64() & 0x7FFFFF)));
+    }
+  }
+  const float edges[] = {65504.0f, 65505.0f, 65519.0f, 65520.0f, 65521.0f,
+                         std::nextafter(65520.0f, 0.0f), 65536.0f,
+                         std::ldexp(1.0f, -14), std::ldexp(1.0f, -24),
+                         std::ldexp(1.0f, -25), std::ldexp(1.5f, -25),
+                         std::ldexp(1.0f, -26),
+                         std::nextafter(std::ldexp(1.0f, -14), 0.0f),
+                         std::ldexp(2047.0f, -25), std::ldexp(2047.5f, -25)};
+  for (const float x : edges) out.push_back(x);
+  for (const std::uint32_t nan :
+       {0x7F800001u, 0x7FC00000u, 0x7FBFFFFFu, 0x7FFFFFFFu, 0x7F802000u,
+        0x7FA00000u}) {
+    out.push_back(float_of(nan));
+  }
+  out.push_back(INFINITY);
+  out.push_back(0.0f);
+  const std::size_t positive = out.size();
+  for (std::size_t i = 0; i < positive; ++i) out.push_back(-out[i]);
+  return out;
+}
+
+TEST(HalfBulk, NarrowsStratifiedFloats) {
+  const std::vector<float> f = stratified_floats();
+  std::vector<half> h(f.size());
+  floats_to_halves(f, h);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    ASSERT_EQ(h[i].bits(), float_to_half_bits(f[i]))
+        << "float bits 0x" << std::hex << bits_of(f[i]);
+  }
+}
+
+// Every tail length 0-15 from every start offset 0-7: the kernel writes
+// exactly n elements, each right, and reads nothing outside its span (the
+// ASan lane checks the reads).
+TEST(HalfBulk, TailsAndUnalignedStartsBothDirections) {
+  const std::vector<float> f = stratified_floats();
+  const half kGuard = half::from_bits(0x5A5A);
+  const float kGuardF = -12345.0f;
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t n = 0; n < 16; ++n) {
+      const std::size_t base = (start * 131 + n * 977) % (f.size() - 16);
+      std::vector<float> src(f.begin() + static_cast<std::ptrdiff_t>(base),
+                             f.begin() + static_cast<std::ptrdiff_t>(base + n));
+      std::vector<half> h(start + n + 1, kGuard);
+      floats_to_halves(src, std::span<half>(h).subspan(start, n));
+      for (std::size_t i = 0; i < h.size(); ++i) {
+        const bool inside = i >= start && i < start + n;
+        ASSERT_EQ(h[i].bits(), inside ? float_to_half_bits(src[i - start])
+                                      : kGuard.bits())
+            << "start=" << start << " n=" << n << " i=" << i;
+      }
+      std::vector<float> back(start + n + 1, kGuardF);
+      halves_to_floats(std::span<const half>(h).subspan(start, n),
+                       std::span<float>(back).subspan(start, n));
+      for (std::size_t i = 0; i < back.size(); ++i) {
+        const bool inside = i >= start && i < start + n;
+        ASSERT_EQ(bits_of(back[i]),
+                  inside ? bits_of(half_bits_to_float(h[i].bits()))
+                         : bits_of(kGuardF))
+            << "start=" << start << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(HalfBulk, SizeMismatchThrows) {
+  std::vector<float> f(4);
+  std::vector<half> h(3);
+  EXPECT_ANY_THROW(floats_to_halves(f, h));
+  EXPECT_ANY_THROW(halves_to_floats(h, f));
+}
+
+TEST(HalfBulk, AllFiniteFindsEveryInfAndNan) {
+  for (std::size_t n = 0; n < 40; ++n) {
+    std::vector<half> h(n, half(1.0f));
+    EXPECT_TRUE(all_finite(h)) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::uint16_t bad : {0x7C00, 0xFC00, 0x7E00, 0x7C01, 0xFFFF}) {
+        h[i] = half::from_bits(bad);
+        EXPECT_FALSE(all_finite(h)) << "n=" << n << " i=" << i;
+      }
+      h[i] = half::max();
+    }
+    EXPECT_TRUE(all_finite(h)) << n;
   }
 }
 

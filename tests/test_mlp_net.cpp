@@ -12,6 +12,7 @@
 #include "model/gpt.hpp"
 #include "model/mlp_net.hpp"
 #include "optim/adam.hpp"
+#include "scalar_oracles.hpp"
 
 namespace zi {
 namespace {
@@ -175,8 +176,8 @@ TEST(GptGeneration, LearnsAndReproducesAPeriodicSequence) {
     const auto params = model.all_parameters();
     for (std::size_t k = 0; k < params.size(); ++k) {
       Parameter* p = params[k];
-      adam_step(adam, s, p->full_tensor().span<float>(), m[k], v[k],
-                p->grad_tensor().span<float>());
+      oracle::adam_step(adam, s, p->full_tensor().span<float>(), m[k], v[k],
+                        p->grad_tensor().span<float>());
     }
   }
 

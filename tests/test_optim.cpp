@@ -1,14 +1,31 @@
-// Adam + loss-scaler tests, including hand-computed reference values.
+// Adam + loss-scaler tests, including hand-computed reference values and
+// the fused kernel against the scalar Adam loop kept as its oracle.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "optim/adam.hpp"
 #include "optim/loss_scaler.hpp"
+#include "scalar_oracles.hpp"
 
 namespace zi {
 namespace {
+
+// One fused step on gradients given in fp32 (every value below is exact in
+// fp16); returns the fp16 write-back.
+std::vector<half> adam_step(const AdamConfig& cfg, std::int64_t step,
+                            std::vector<float>& w, std::vector<float>& m,
+                            std::vector<float>& v, const std::vector<float>& g,
+                            float grad_scale = 1.0f, float clip_coef = 1.0f) {
+  std::vector<half> g16(g.size()), updated(w.size());
+  floats_to_halves(g, g16);
+  fused_adam_step(cfg, step, w, m, v, g16, updated, grad_scale, clip_coef);
+  return updated;
+}
 
 TEST(Adam, FirstStepMatchesHandComputation) {
   AdamConfig cfg;
@@ -100,8 +117,138 @@ TEST(Adam, CoupledWeightDecayEntersMoments) {
 
 TEST(Adam, SizeMismatchThrows) {
   AdamConfig cfg;
-  std::vector<float> w(4), m(4), v(4), g(3);
-  EXPECT_ANY_THROW(adam_step(cfg, 1, w, m, v, g));
+  std::vector<float> w(4), m(4), v(4);
+  std::vector<half> g(3), out(4), short_out(3);
+  EXPECT_ANY_THROW(fused_adam_step(cfg, 1, w, m, v, g, out));
+  std::vector<half> g4(4);
+  EXPECT_ANY_THROW(fused_adam_step(cfg, 1, w, m, v, g4, short_out));
+  EXPECT_ANY_THROW(fused_adam_step(cfg, 0, w, m, v, g4, out));
+}
+
+TEST(Adam, WritesBackTheUpdatedMasterInFp16) {
+  AdamConfig cfg;
+  cfg.lr = 0.1f;
+  std::vector<float> w = {1.0f, -3.0f, 1e-6f}, m(3, 0.0f), v(3, 0.0f);
+  const std::vector<half> out = adam_step(cfg, 1, w, m, v, {0.5f, 1.0f, 0.0f});
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(out[i].bits(), half(w[i]).bits()) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused kernel ≡ scalar loop, bit for bit.
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+// fp16 gradients at grad_scale, with every few elements a subnormal, ±0 or
+// a tiny value that only the scale keeps representable.
+std::vector<half> scaled_grads(std::size_t n, float grad_scale,
+                               std::uint64_t seed) {
+  Rng rng(seed, 7);
+  std::vector<half> g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    float x = rng.next_normal() * 0.01f * grad_scale;
+    switch (i % 7) {
+      case 1:
+        x = std::ldexp(static_cast<float>(1 + i % 1023), -24);  // subnormal
+        break;
+      case 3:
+        x = (i % 2 == 0) ? 0.0f : -0.0f;
+        break;
+      case 5:
+        x *= 1e-4f;
+        break;
+      default:
+        break;
+    }
+    g[i] = half(x);
+  }
+  return g;
+}
+
+TEST(FusedAdam, BitIdenticalToScalarLoop) {
+  struct Decay {
+    float wd;
+    bool decoupled;
+  };
+  const Decay decays[] = {{0.0f, true}, {0.01f, false}, {0.01f, true}};
+  // 1000 is not a power of two, so reassociating the unscale and the clip
+  // would change bits.
+  const float scales[] = {1.0f, 1024.0f, 1000.0f};
+  const float clips[] = {1.0f, 0.73f};
+  const std::int64_t steps[] = {1, 10000};
+  // Lane tails 0-3 around a few sizes, and the kernel's 512-element
+  // staging block edges.
+  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 13, 511, 512, 513,
+                               1027, 4099};
+  std::uint64_t seed = 1;
+  for (const Decay& d : decays) {
+    for (const float scale : scales) {
+      for (const float clip : clips) {
+        for (const std::int64_t step : steps) {
+          for (const std::size_t n : sizes) {
+            ++seed;
+            AdamConfig cfg;
+            cfg.lr = 3e-3f;
+            cfg.weight_decay = d.wd;
+            cfg.decoupled_weight_decay = d.decoupled;
+            Rng rng(seed, 11);
+            std::vector<float> w(n), m(n), v(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              w[i] = rng.next_normal();
+              m[i] = step == 1 ? 0.0f : 1e-3f * rng.next_normal();
+              v[i] = step == 1 ? 0.0f : 1e-6f * std::fabs(rng.next_normal());
+            }
+            const std::vector<half> g16 = scaled_grads(n, scale, seed);
+            std::vector<float> g32(n);
+            oracle::halves_to_floats(g16, g32);
+
+            std::vector<float> ow = w, om = m, ov = v;
+            oracle::adam_step(cfg, step, ow, om, ov, g32, scale, clip);
+            std::vector<half> updated(n);
+            fused_adam_step(cfg, step, w, m, v, g16, updated, scale, clip);
+
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bits_of(w[i]), bits_of(ow[i]))
+                  << "master i=" << i << " n=" << n << " seed=" << seed;
+              ASSERT_EQ(bits_of(m[i]), bits_of(om[i])) << "momentum i=" << i;
+              ASSERT_EQ(bits_of(v[i]), bits_of(ov[i])) << "variance i=" << i;
+              ASSERT_EQ(updated[i].bits(), half(ow[i]).bits())
+                  << "fp16 write-back i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The NVMe optimizer updates a shard one chunk at a time; chunking must not
+// change a bit (chunk edges fall mid-block and mid-vector).
+TEST(FusedAdam, ChunkedEqualsWhole) {
+  AdamConfig cfg;
+  cfg.weight_decay = 0.01f;
+  const std::size_t n = 3001;
+  Rng rng(5, 1);
+  std::vector<float> w(n), m(n, 0.0f), v(n, 0.0f);
+  for (float& x : w) x = rng.next_normal();
+  const std::vector<half> g = scaled_grads(n, 512.0f, 9);
+  std::vector<float> cw = w, cm = m, cv = v;
+  std::vector<half> whole(n), chunked(n);
+  fused_adam_step(cfg, 3, w, m, v, g, whole, 512.0f, 0.9f);
+  const std::size_t chunk = 333;
+  for (std::size_t lo = 0; lo < n; lo += chunk) {
+    const std::size_t len = std::min(chunk, n - lo);
+    fused_adam_step(cfg, 3, std::span<float>(cw).subspan(lo, len),
+                    std::span<float>(cm).subspan(lo, len),
+                    std::span<float>(cv).subspan(lo, len),
+                    std::span<const half>(g).subspan(lo, len),
+                    std::span<half>(chunked).subspan(lo, len), 512.0f, 0.9f);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(bits_of(w[i]), bits_of(cw[i])) << i;
+    ASSERT_EQ(whole[i].bits(), chunked[i].bits()) << i;
+  }
 }
 
 TEST(ClipCoefficient, Semantics) {

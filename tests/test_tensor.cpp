@@ -104,9 +104,9 @@ TEST(Cast, SameDtypeIsCopy) {
 TEST(Cast, SpanConversions) {
   std::vector<float> f = {1.0f, -3.0f, 0.5f};
   std::vector<half> h(3);
-  cast_f32_to_f16(f, h);
+  floats_to_halves(f, h);
   std::vector<float> back(3);
-  cast_f16_to_f32(h, back);
+  halves_to_floats(h, back);
   EXPECT_EQ(back, f);
 }
 

@@ -45,6 +45,7 @@
 #include "data/dataset.hpp"
 #include "data/tokenizer.hpp"
 #include "model/gpt.hpp"
+#include "scalar_oracles.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace zi {
@@ -184,6 +185,95 @@ TEST_P(TransportConformance, CollectivesProduceExactValues) {
       });
   EXPECT_TRUE(wr.ok) << (wr.errors.empty() ? "?" : wr.errors.front());
   EXPECT_TRUE(wr.failed_ranks.empty());
+}
+
+// One rank's fp16 contribution: −0.0 on every rank (sums to +0.0),
+// subnormals, values whose sum overflows to ±inf, and ordinary values.
+half reduction_input(int rank, std::size_t i) {
+  const auto r = static_cast<std::uint32_t>(rank);
+  switch (i % 6) {
+    case 0:
+      return half(-0.0f);
+    case 1:
+      return half::from_bits(static_cast<std::uint16_t>(
+          ((i + r) % 2 ? 0x8000u : 0u) | (1u + (i * 37 + r * 11) % 1023)));
+    case 2:
+      return half(rank % 2 == 0 ? 40000.0f : 30000.0f);
+    case 3:
+      return half(-40000.0f);
+    default:
+      return half(static_cast<float>((i * 2654435761u + r * 40503u) % 20001) /
+                      997.0f -
+                  10.0f);
+  }
+}
+
+std::vector<half> reduction_inputs(int rank, std::size_t n) {
+  std::vector<half> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = reduction_input(rank, i);
+  return v;
+}
+
+// The fp16 reduce-scatter and allreduce against the per-element rank-order
+// loop, on message sizes around the kernel's scratch-block edge.
+TEST_P(TransportConformance, HalfReductionsMatchPerElementOracle) {
+  for (const int world : {2, 3, 4}) {
+    const WorldReport wr =
+        run_world_guarded(world, opts(), [](Communicator& comm) {
+          const int n = comm.size();
+          const auto un = static_cast<std::size_t>(n);
+          constexpr std::size_t kB = detail::kReduceBlockElems;
+          for (const std::size_t chunk :
+               {std::size_t{1}, std::size_t{7}, kB - 1, kB, kB + 1,
+                2 * kB + 5}) {
+            std::vector<std::vector<half>> peers;
+            for (int r = 0; r < n; ++r) {
+              peers.push_back(reduction_inputs(r, chunk * un));
+            }
+            const std::vector<half>& mine =
+                peers[static_cast<std::size_t>(comm.rank())];
+
+            std::vector<half> shard(chunk);
+            comm.reduce_scatter_sum<half>(mine, shard);
+            const std::vector<half> want_shard = oracle::rank_order_sum(
+                peers, static_cast<std::size_t>(comm.rank()) * chunk, chunk);
+            for (std::size_t i = 0; i < chunk; ++i) {
+              RANK_REQUIRE(shard[i].bits() == want_shard[i].bits());
+            }
+
+            // Allreduce slices are total·r/n .. total·(r+1)/n: lengths
+            // either side of the block edge once the total is uneven.
+            std::vector<half> all = mine;
+            all.resize(all.size() - (chunk > 1 ? 1 : 0));
+            const std::vector<half> want_all =
+                oracle::rank_order_sum(peers, 0, all.size());
+            comm.allreduce_sum<half>(all);
+            for (std::size_t i = 0; i < all.size(); ++i) {
+              RANK_REQUIRE(all[i].bits() == want_all[i].bits());
+            }
+          }
+        });
+    EXPECT_TRUE(wr.ok) << "world " << world << ": "
+                       << (wr.errors.empty() ? "?" : wr.errors.front());
+  }
+}
+
+// Unequal contributions throw on every rank, as in allgather, instead of
+// reading past the shorter peer's buffer.
+TEST_P(TransportConformance, ReduceScatterRejectsUnequalSendSizes) {
+  const WorldReport wr =
+      run_world_guarded(2, opts(), [](Communicator& comm) {
+        const std::size_t chunk = comm.rank() == 0 ? 4 : 3;
+        std::vector<half> send(2 * chunk, half(1.0f));
+        std::vector<half> recv(chunk);
+        comm.reduce_scatter_sum<half>(send, recv);
+      });
+  EXPECT_FALSE(wr.ok);
+  ASSERT_EQ(wr.failed_ranks.size(), 2u);
+  for (const std::string& e : wr.errors) {
+    EXPECT_NE(e.find("reduce_scatter: unequal send sizes"), std::string::npos)
+        << e;
+  }
 }
 
 TEST_P(TransportConformance, P2pRingDeliversTaggedPayloads) {

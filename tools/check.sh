@@ -11,7 +11,7 @@
 #   tools/check.sh transport       # Communicator transport suites (inproc+proc)
 #   tools/check.sh straggler       # straggler detection/rebalance suites
 #   tools/check.sh serve           # streamed-execution + serving suites
-#   tools/check.sh kernels         # tensor-kernel suite (GEMM oracle)
+#   tools/check.sh kernels         # numeric kernels vs their scalar oracles
 #   tools/check.sh bench           # zi_bench smoke run (CI's zi-bench-smoke)
 #   tools/check.sh tsan            # ZI_SANITIZE=thread build + concurrency tests
 #   tools/check.sh asan            # ZI_SANITIZE=address build + full ctest
@@ -133,14 +133,15 @@ run_serve() {
     || FAILED=1
 }
 
-# Tight loop for kernel work: the tensor-kernel suite, whose GEMM tests
-# compare the tiled kernels bit for bit against scalar oracles, on a plain
-# build. Shares the plain build tree so a follow-up `build` is warm.
+# Tight loop for kernel work: the GEMM, fp16 conversion and fused Adam
+# suites, which compare the kernels bit for bit against scalar oracles, on a
+# plain build. Shares the plain build tree so a follow-up `build` is warm.
 run_kernels() {
   local build="build-check-plain"
-  note "kernels (test_ops)"
+  note "kernels (test_ops + test_half + test_half_exhaustive + test_optim)"
   cmake -B "$build" -S . -DZI_WERROR=ON >/dev/null
-  cmake --build "$build" -j "$JOBS" --target test_ops
+  cmake --build "$build" -j "$JOBS" \
+    --target test_ops test_half test_half_exhaustive test_optim
   (cd "$build" && ctest --output-on-failure -j "$JOBS" -L kernels) \
     || FAILED=1
 }
@@ -148,9 +149,26 @@ run_kernels() {
 # The repository benchmark's smoke run, the command CI's zi-bench-smoke job
 # runs: builds zi_bench into .bench_build/ and runs every workload briefly,
 # failing on a correctness gate, a missing metric or a dropped trace event.
+# Then prints where the pace probe's code landed: zi_bench's core pace reads
+# about 1.6x slow when CorePace::probe_ms sits at 32 mod 64, so a layout
+# shift between two builds shows next to their paced numbers.
 run_bench() {
   note "bench (python3 zi_bench/run.py --smoke)"
   python3 zi_bench/run.py --smoke || FAILED=1
+  local bin=".bench_build/zi_bench/zi_bench"
+  if ! have nm; then
+    skip "probe address: nm not installed"
+    return 0
+  fi
+  local addr
+  addr="$(nm -C "$bin" 2>/dev/null |
+    awk '/CorePace::probe_ms/ && !a {a = $1} END {print a}')" || addr=""
+  if [ -z "$addr" ]; then
+    skip "probe address: CorePace::probe_ms not found in $bin"
+    return 0
+  fi
+  printf '==> CorePace::probe_ms at 0x%s (mod 64 = %d)\n' \
+    "${addr#"${addr%%[!0]*}"}" "$(( 16#$addr % 64 ))"
 }
 
 # $1: mode name, $2: ZI_SANITIZE value ('' = off), $3: ctest label ('' = all)
