@@ -5,11 +5,11 @@
 
 #include <filesystem>
 #include <span>
+#include <vector>
 
 #include "aio/aio_engine.hpp"
 #include "aio/nvme_store.hpp"
 #include "mem/pinned_pool.hpp"
-#include "move/data_mover.hpp"
 
 namespace {
 
@@ -96,47 +96,6 @@ void BM_PinnedPoolAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinnedPoolAcquireRelease)->MinTime(0.1);
-
-// The transfer scheduler's coalescer on the workload it exists for: many
-// small exactly-adjacent spills (the chunked optimizer's state streams).
-// Arg(0) = coalescing off, Arg(1) = on; `aio_requests_per_iter` is the
-// number of engine-level requests each variant needed for the same 64
-// transfers — the coalesced run should need far fewer (≥30% reduction).
-void BM_SchedSmallSpills(benchmark::State& state) {
-  const bool coalesce = state.range(0) != 0;
-  AioEngine engine;
-  NvmeStore store(engine,
-                  bench_dir() / (coalesce ? "sched_on.bin" : "sched_off.bin"),
-                  64 << 20);
-  PinnedBufferPool pool(1 << 20, 4);
-  TransferScheduler::Config cfg;
-  cfg.coalesce = coalesce;
-  DataMover mover(store, pool, cfg);
-
-  constexpr std::size_t kSeg = 16 << 10;  // 16 KiB per transfer
-  constexpr int kN = 64;
-  Extent e = store.allocate(kN * kSeg);
-  std::vector<std::byte> buf(kN * kSeg, std::byte{0x3C});
-  for (auto _ : state) {
-    std::vector<TransferHandle> hs;
-    hs.reserve(kN);
-    for (int i = 0; i < kN; ++i) {
-      hs.push_back(mover.spill_nvme(
-          e,
-          std::span<const std::byte>(buf.data() + i * kSeg, kSeg),
-          static_cast<std::uint64_t>(i) * kSeg));
-    }
-    for (auto& h : hs) h.wait();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kN *
-                          static_cast<std::int64_t>(kSeg));
-  state.counters["aio_requests_per_iter"] =
-      static_cast<double>(engine.stats().requests) /
-      static_cast<double>(state.iterations());
-  state.counters["coalesced_transfers"] =
-      static_cast<double>(mover.stats().sched.coalesced_transfers);
-}
-BENCHMARK(BM_SchedSmallSpills)->Arg(0)->Arg(1)->MinTime(0.1);
 
 void BM_NvmeStoreRoundtrip(benchmark::State& state) {
   AioEngine engine;

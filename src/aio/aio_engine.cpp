@@ -26,7 +26,7 @@ struct AioStatus::State {
   explicit State(std::size_t n, std::function<void()> cb = {})
       : pending(n), on_complete(std::move(cb)) {}
 
-  Mutex mutex{"AioStatus::State::mutex"};
+  Mutex mutex;
   CondVar cv;
   std::size_t pending ZI_GUARDED_BY(mutex);
   std::exception_ptr error ZI_GUARDED_BY(mutex);

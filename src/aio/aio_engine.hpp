@@ -204,9 +204,9 @@ class AioEngine {
 
   AioConfig config_;
   ThreadPool pool_;
-  mutable Mutex files_mutex_{"AioEngine::files_mutex_"};
+  mutable Mutex files_mutex_;
   std::vector<std::unique_ptr<AioFile>> files_ ZI_GUARDED_BY(files_mutex_);
-  mutable Mutex stats_mutex_{"AioEngine::stats_mutex_"};
+  mutable Mutex stats_mutex_;
   Stats stats_ ZI_GUARDED_BY(stats_mutex_);
 };
 

@@ -65,10 +65,10 @@ class NvmeStore {
                                      std::span<std::byte> buf,
                                      std::uint64_t offset = 0) const;
 
-  /// Absolute-offset async I/O, for the transfer scheduler: a coalesced
-  /// request covers several adjacent extents' ranges, so it addresses the
-  /// backing file directly rather than through one Extent. `on_complete`,
-  /// when given, runs exactly once after the last sub-request finishes.
+  /// Absolute-offset async I/O, for the transfer scheduler: DataMover has
+  /// already checked the range against its Extent, so the scheduler
+  /// addresses the backing file directly. `on_complete`, when given, runs
+  /// exactly once after the last sub-request finishes.
   [[nodiscard]] AioStatus write_abs_async(
       std::uint64_t offset, std::span<const std::byte> buf,
       std::function<void()> on_complete = {});

@@ -142,7 +142,7 @@ void WorldShared::poison_tree() {
     ch.cv.notify_all();
   }
   // Recurse into split() subgroups. Distinct mutex instances per level, and
-  // always parent-before-child, so the lock tracker sees a consistent order.
+  // always parent-before-child: the one nesting order of DESIGN.md §5.
   LockGuard lock(split_mutex);
   for (auto& entry : split_groups) entry.second->poison_tree();
 }

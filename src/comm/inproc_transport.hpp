@@ -21,7 +21,7 @@ namespace zi::detail {
 /// One directional buffered channel (sender, receiver) for point-to-point
 /// messages. Own mutex/cv per channel so unrelated pairs never contend.
 struct P2pChannel {
-  Mutex mutex{"P2pChannel::mutex"};
+  Mutex mutex;
   CondVar cv;
   std::deque<P2pMessage> queue ZI_GUARDED_BY(mutex);
   std::size_t queued_bytes ZI_GUARDED_BY(mutex) = 0;
@@ -48,7 +48,7 @@ class AbortableBarrier {
   WorldHealth* const health_;
   const std::vector<int>* const global_ranks_;
 
-  mutable Mutex mutex_{"AbortableBarrier::mutex"};
+  mutable Mutex mutex_;
   CondVar cv_;
   int arrived_ ZI_GUARDED_BY(mutex_) = 0;
   std::uint64_t epoch_ ZI_GUARDED_BY(mutex_) = 0;
@@ -82,14 +82,14 @@ struct WorldShared {
   std::vector<P2pChannel> channels;   ///< dense (from, to) matrix
   CommTraffic traffic;
 
-  Mutex split_mutex{"WorldShared::split_mutex"};
+  Mutex split_mutex;
   /// (split ordinal, color) -> subgroup. The ordinal distinguishes
   /// successive split() calls; lockstep collectives make it consistent.
   std::map<std::pair<int, int>, std::shared_ptr<WorldShared>> split_groups
       ZI_GUARDED_BY(split_mutex);
 
   /// Per-rank Communicator::set_result payloads; root instance only.
-  Mutex results_mutex{"WorldShared::results_mutex"};
+  Mutex results_mutex;
   std::vector<std::string> rank_results ZI_GUARDED_BY(results_mutex);
 
   P2pChannel& channel(int from, int to) {

@@ -549,7 +549,7 @@ namespace {
 
 /// Completion bookkeeping for run_world's grace-period join.
 struct JoinLatch {
-  Mutex mutex{"JoinLatch::mutex"};
+  Mutex mutex;
   CondVar cv;
   int remaining ZI_GUARDED_BY(mutex) = 0;
   std::vector<bool> done ZI_GUARDED_BY(mutex);

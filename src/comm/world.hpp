@@ -247,7 +247,7 @@ class WorldHealth {
   std::atomic<bool> poisoned_{false};
   std::atomic<int> straggler_{-1};
 
-  mutable Mutex mutex_{"WorldHealth::mutex"};
+  mutable Mutex mutex_;
   bool has_failure_ ZI_GUARDED_BY(mutex_) = false;
   int culprit_ ZI_GUARDED_BY(mutex_) = -1;
   WorldFailKind kind_ ZI_GUARDED_BY(mutex_) = WorldFailKind::kNone;

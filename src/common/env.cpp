@@ -1,6 +1,5 @@
 #include "common/env.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -46,18 +45,6 @@ std::uint64_t getenv_u64(const char* name, std::uint64_t fallback) {
     throw_invalid(name, v, "a valid base-10 unsigned integer");
   }
   return out;
-}
-
-bool getenv_bool(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  std::string s(v);
-  for (char& c : s) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (s == "1" || s == "true" || s == "on" || s == "yes") return true;
-  if (s == "0" || s == "false" || s == "off" || s == "no") return false;
-  throw_invalid(name, v, "a valid boolean (0/1/true/false/on/off/yes/no)");
 }
 
 }  // namespace zi

@@ -10,7 +10,7 @@ namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 // Leaf lock: nothing else is ever acquired while emitting (see DESIGN.md
 // "Locking & sanitizer policy").
-Mutex g_emit_mutex{"log::g_emit_mutex"};
+Mutex g_emit_mutex;
 
 const char* level_name(LogLevel level) {
   switch (level) {

@@ -9,18 +9,18 @@
 //     wrap Clang's -Wthread-safety attributes (no-ops on GCC), so a Clang
 //     build statically rejects guarded-state access without the right lock.
 //   * zi::Mutex / zi::LockGuard / zi::UniqueLock / zi::CondVar are drop-in
-//     annotated replacements for the std primitives. They degrade to a bare
-//     std::mutex fast path, but when the runtime lock tracker is enabled
-//     (ZI_LOCK_TRACKER=1, see common/lock_tracker.hpp) every acquisition is
-//     checked against a global lock-order graph for inversions and
-//     same-thread recursion.
+//     annotated replacements for the std primitives: a bare std::mutex and
+//     std::condition_variable underneath, plus the capability attributes.
+//
+// Lock-order inversions are TSan's job (its deadlock detector runs in the
+// ZI_SANITIZE=thread lane); DESIGN.md §5 lists every lock and the one
+// nesting order.
 //
 // Style note for annotated code: prefer explicit `while (!cond) cv.wait(l);`
 // loops over predicate-lambda waits — Clang analyzes lambdas as separate
 // functions and flags guarded reads inside them as unprotected.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -81,65 +81,21 @@ namespace zi {
 
 class CondVar;
 
-namespace detail {
-// Runtime lock-tracker hooks, implemented in common/lock_tracker.cpp. The
-// enabled flag is the only thing on the disabled fast path: one relaxed
-// atomic load per lock/unlock, no allocation, no extra synchronization.
-extern std::atomic<bool> g_lock_tracker_enabled;
-
-inline bool lock_tracker_enabled() noexcept {
-  return g_lock_tracker_enabled.load(std::memory_order_relaxed);
-}
-
-// Called BEFORE blocking on the underlying mutex so order violations are
-// reported even when the acquisition would deadlock.
-void tracker_before_lock(const void* mutex, const char* name);
-void tracker_after_lock(const void* mutex, const char* name);
-void tracker_on_unlock(const void* mutex);
-void tracker_on_destroy(const void* mutex);
-}  // namespace detail
-
-/// Annotated mutex. Exactly a std::mutex on the fast path; when the runtime
-/// lock tracker is enabled every acquisition is checked for lock-order
-/// inversions and same-thread recursion (see common/lock_tracker.hpp).
+/// Annotated mutex: exactly a std::mutex, visible to the Clang analysis.
 class ZI_CAPABILITY("mutex") Mutex {
  public:
-  /// `name` appears in lock-order violation reports; use "Class::member".
-  constexpr explicit Mutex(const char* name = "zi::Mutex") noexcept
-      : name_(name) {}
-  ~Mutex() {
-    if (detail::lock_tracker_enabled()) detail::tracker_on_destroy(this);
-  }
+  constexpr Mutex() noexcept = default;
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() ZI_ACQUIRE() {
-    const bool tracked = detail::lock_tracker_enabled();
-    if (tracked) detail::tracker_before_lock(this, name_);
-    m_.lock();
-    if (tracked) detail::tracker_after_lock(this, name_);
-  }
-
-  void unlock() ZI_RELEASE() {
-    m_.unlock();
-    if (detail::lock_tracker_enabled()) detail::tracker_on_unlock(this);
-  }
-
-  bool try_lock() ZI_TRY_ACQUIRE(true) {
-    const bool ok = m_.try_lock();
-    if (ok && detail::lock_tracker_enabled()) {
-      detail::tracker_after_lock(this, name_);
-    }
-    return ok;
-  }
-
-  const char* name() const noexcept { return name_; }
+  void lock() ZI_ACQUIRE() { m_.lock(); }
+  void unlock() ZI_RELEASE() { m_.unlock(); }
+  bool try_lock() ZI_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex m_;
-  const char* name_;
 };
 
 /// std::lock_guard over zi::Mutex.
@@ -189,8 +145,8 @@ class ZI_SCOPED_CAPABILITY UniqueLock {
 
 /// Condition variable paired with zi::Mutex/UniqueLock. Waits go through the
 /// native std::condition_variable (no condition_variable_any overhead); the
-/// lock tracker deliberately keeps the mutex marked "held" across the wait's
-/// internal unlock/relock — the same model the static analysis uses.
+/// static analysis treats the mutex as held across the wait's internal
+/// unlock/relock.
 class CondVar {
  public:
   CondVar() = default;
@@ -204,8 +160,7 @@ class CondVar {
   }
 
   /// Timed wait; returns false if `rel_time` elapsed without a notification
-  /// (callers must re-check their predicate either way). Same lock-tracker
-  /// model as wait(): the mutex stays marked "held" across the wait.
+  /// (callers must re-check their predicate either way).
   template <typename Rep, typename Period>
   bool wait_for(UniqueLock& lock,
                 const std::chrono::duration<Rep, Period>& rel_time) {

@@ -13,7 +13,7 @@ namespace {
 // Registry of live pools so a forked rank subprocess can respawn their
 // workers (restart_all_after_fork). Touched only in ctor/dtor and right
 // after fork, all points where no pool is concurrently mutating.
-Mutex g_registry_mutex{"ThreadPool::registry_mutex"};
+Mutex g_registry_mutex;
 std::vector<ThreadPool*> g_registry ZI_GUARDED_BY(g_registry_mutex);
 
 }  // namespace
@@ -71,7 +71,7 @@ void ThreadPool::restart_after_fork() {
   // on a condvar with waiters is UB; placement-new over it is the
   // fork-safe move). Single-threaded here, so the unguarded writes are
   // safe.
-  new (&mutex_) Mutex("ThreadPool::mutex_");
+  new (&mutex_) Mutex();
   new (&cv_task_) CondVar();
   new (&cv_idle_) CondVar();
   {

@@ -66,7 +66,7 @@ class ThreadPool {
   void restart_after_fork();
 
   std::string name_;  ///< immutable after construction
-  mutable Mutex mutex_{"ThreadPool::mutex_"};
+  mutable Mutex mutex_;
   CondVar cv_task_;
   CondVar cv_idle_;
   std::deque<std::function<void()>> queue_ ZI_GUARDED_BY(mutex_);

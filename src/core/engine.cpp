@@ -319,14 +319,6 @@ void ZeroEngine::emit_step_report(const StepStats& st, double step_seconds) {
   r.staged_pinned = delta(mv.staged_pinned, metrics_base_.staged_pinned);
   r.staged_heap = delta(mv.staged_heap, metrics_base_.staged_heap);
 
-  const std::uint64_t sched_scheduled =
-      delta(mv.sched.scheduled, metrics_base_.sched_scheduled);
-  r.coalesced_transfers =
-      delta(mv.sched.coalesced_transfers, metrics_base_.coalesced_transfers);
-  r.coalesce_ratio =
-      sched_scheduled > 0 ? static_cast<double>(r.coalesced_transfers) /
-                                static_cast<double>(sched_scheduled)
-                          : 0.0;
   r.sched_preemptions =
       delta(mv.sched.preemptions, metrics_base_.sched_preemptions);
   r.sched_latency_wait_seconds =

@@ -163,8 +163,6 @@ class ZeroEngine {
     double move_wait_seconds = 0.0;
     std::uint64_t staged_pinned = 0;
     std::uint64_t staged_heap = 0;
-    std::uint64_t sched_scheduled = 0;
-    std::uint64_t coalesced_transfers = 0;
     std::uint64_t sched_preemptions = 0;
     std::uint64_t sched_queue_ns[kNumTransferClasses] = {};
     /// Per-rank heartbeat max-gap watermark at the previous report, so each

@@ -117,7 +117,7 @@ class DeviceArena {
   Mode mode_;
   AlignedBuffer backing_;  // null in kVirtual mode
 
-  mutable Mutex mutex_{"DeviceArena::mutex_"};
+  mutable Mutex mutex_;
   // Free spans keyed by offset -> size; adjacent spans are coalesced on free.
   std::map<std::uint64_t, std::uint64_t> free_spans_ ZI_GUARDED_BY(mutex_);
   // Reserved spans created by prefragment() are never returned.

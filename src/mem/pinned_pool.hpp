@@ -94,7 +94,7 @@ class PinnedBufferPool {
   std::size_t buffer_bytes_;
   std::vector<AlignedBuffer> buffers_;
 
-  mutable Mutex mutex_{"PinnedBufferPool::mutex_"};
+  mutable Mutex mutex_;
   CondVar cv_;
   std::vector<std::size_t> free_indices_ ZI_GUARDED_BY(mutex_);
   Stats stats_ ZI_GUARDED_BY(mutex_);

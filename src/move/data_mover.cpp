@@ -39,11 +39,7 @@ const char* route_name(Route r) {
 }
 
 void TransferHandle::wait_inner() {
-  if (sched_ != nullptr) {
-    sched_->wait(ticket_);
-  } else {
-    status_.wait();
-  }
+  if (ticket_ != nullptr) sched_->wait(ticket_);
 }
 
 void TransferHandle::wait() {
@@ -81,20 +77,17 @@ double DataMover::Stats::total_seconds() const {
   return total;
 }
 
-DataMover::DataMover(NvmeStore& nvme, PinnedBufferPool& pinned)
-    : DataMover(nvme, pinned, TransferScheduler::Config::from_env()) {}
-
 DataMover::DataMover(NvmeStore& nvme, PinnedBufferPool& pinned,
                      TransferScheduler::Config sched_config)
     : nvme_(nvme),
       pinned_(pinned),
       sched_backend_(nvme),
-      sched_(sched_backend_, std::move(sched_config)) {}
+      sched_(sched_backend_, sched_config) {}
 
 void DataMover::check_extent(const Extent& extent, std::size_t bytes,
                              std::uint64_t offset, const char* what) {
   // The scheduler addresses the backing file directly, so the per-extent
-  // checks NvmeStore would have done move here.
+  // checks NvmeStore would have done live here.
   ZI_CHECK_MSG(extent.valid(), what << " on released extent");
   ZI_CHECK_MSG(offset + bytes <= extent.size(),
                what << " of " << bytes << " bytes at offset " << offset
@@ -113,37 +106,17 @@ StagingLease DataMover::stage(std::size_t bytes) {
 TransferHandle DataMover::fetch_nvme(const Extent& extent,
                                      std::span<std::byte> dst,
                                      std::uint64_t offset, TransferClass cls) {
-  ZI_TRACE_SPAN("move", route_name(Route::kNvmeFetch),
-                span_args(dst.size()));
-  note_issue(Route::kNvmeFetch, dst.size());
-  Transfer t{Route::kNvmeFetch, dst.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, dst.size(), offset, "fetch");
-    return TransferHandle(this, t, &sched_,
-                          sched_.submit(Route::kNvmeFetch, cls,
-                                        extent.offset() + offset, dst.data(),
-                                        dst.size()));
-  }
-  return TransferHandle(this, t, nvme_.read_async(extent, dst, offset));
+  return submit(Route::kNvmeFetch, extent, dst.data(), dst.size(), offset,
+                cls);
 }
 
 TransferHandle DataMover::spill_nvme(const Extent& extent,
                                      std::span<const std::byte> src,
                                      std::uint64_t offset, TransferClass cls) {
-  ZI_TRACE_SPAN("move", route_name(Route::kNvmeSpill),
-                span_args(src.size()));
-  note_issue(Route::kNvmeSpill, src.size());
-  Transfer t{Route::kNvmeSpill, src.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, src.size(), offset, "spill");
-    // The scheduler only reads spill payloads; const_cast confined here,
-    // mirroring AioEngine::submit_write.
-    return TransferHandle(
-        this, t, &sched_,
-        sched_.submit(Route::kNvmeSpill, cls, extent.offset() + offset,
-                      const_cast<std::byte*>(src.data()), src.size()));
-  }
-  return TransferHandle(this, t, nvme_.write_async(extent, src, offset));
+  // The scheduler only reads spill payloads; const_cast confined here,
+  // mirroring AioEngine::submit_write.
+  return submit(Route::kNvmeSpill, extent, const_cast<std::byte*>(src.data()),
+                src.size(), offset, cls);
 }
 
 void DataMover::fetch_nvme_sync(const Extent& extent, std::span<std::byte> dst,
@@ -160,34 +133,27 @@ void DataMover::spill_nvme_sync(const Extent& extent,
 TransferHandle DataMover::fetch_kv(const Extent& extent,
                                    std::span<std::byte> dst,
                                    std::uint64_t offset, TransferClass cls) {
-  ZI_TRACE_SPAN("move", route_name(Route::kKvFetch), span_args(dst.size()));
-  note_issue(Route::kKvFetch, dst.size());
-  Transfer t{Route::kKvFetch, dst.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, dst.size(), offset, "kv fetch");
-    return TransferHandle(this, t, &sched_,
-                          sched_.submit(Route::kKvFetch, cls,
-                                        extent.offset() + offset, dst.data(),
-                                        dst.size()));
-  }
-  return TransferHandle(this, t, nvme_.read_async(extent, dst, offset));
+  return submit(Route::kKvFetch, extent, dst.data(), dst.size(), offset, cls);
 }
 
 TransferHandle DataMover::spill_kv(const Extent& extent,
                                    std::span<const std::byte> src,
                                    std::uint64_t offset, TransferClass cls) {
-  ZI_TRACE_SPAN("move", route_name(Route::kKvSpill), span_args(src.size()));
-  note_issue(Route::kKvSpill, src.size());
-  Transfer t{Route::kKvSpill, src.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, src.size(), offset, "kv spill");
-    // Read-only payload; const_cast confined here like spill_nvme.
-    return TransferHandle(
-        this, t, &sched_,
-        sched_.submit(Route::kKvSpill, cls, extent.offset() + offset,
-                      const_cast<std::byte*>(src.data()), src.size()));
-  }
-  return TransferHandle(this, t, nvme_.write_async(extent, src, offset));
+  // Read-only payload; const_cast confined here like spill_nvme.
+  return submit(Route::kKvSpill, extent, const_cast<std::byte*>(src.data()),
+                src.size(), offset, cls);
+}
+
+TransferHandle DataMover::submit(Route r, const Extent& extent,
+                                 std::byte* data, std::size_t bytes,
+                                 std::uint64_t offset, TransferClass cls) {
+  ZI_TRACE_SPAN("move", route_name(r), span_args(bytes));
+  // Validate before counting: a rejected transfer moves no bytes.
+  check_extent(extent, bytes, offset, route_name(r));
+  note_issue(r, bytes);
+  return TransferHandle(
+      this, Transfer{r, bytes, offset}, &sched_,
+      sched_.submit(r, cls, extent.offset() + offset, data, bytes));
 }
 
 void DataMover::fetch_copy(Route r, std::span<std::byte> dst,

@@ -9,9 +9,9 @@
 //   * stage(bytes)   — one pinned-or-heap staging decision (StagingLease),
 //                      under the existing `pinned_acquire` fault site;
 //   * fetch_/spill_* — every hop between a tier and a host buffer, async
-//                      (NVMe, returning a TransferHandle that wraps the
-//                      AioStatus) or synchronous eager (memcpy routes and
-//                      the *_sync NVMe helpers, which skip the handle);
+//                      (NVMe and KV, returning a TransferHandle on a
+//                      TransferScheduler ticket) or synchronous eager
+//                      (memcpy routes and the *_sync NVMe helpers);
 //   * per-route counters (bytes / transfers / seconds) exported into
 //     StepReport, and a ZI_TRACE_SPAN on every transfer.
 //
@@ -36,8 +36,8 @@ namespace zi {
 
 class DataMover;
 
-/// Completion handle for one asynchronous transfer. Wraps the AioEngine
-/// status with the route descriptor and the mover's latency accounting.
+/// Completion handle for one asynchronous transfer: the scheduler ticket
+/// plus the route descriptor and the mover's latency accounting.
 /// Move-only so wait-latency is recorded exactly once; default-constructed
 /// handles are trivially complete (the memcpy routes and empty slots).
 ///
@@ -49,25 +49,16 @@ class [[nodiscard]] TransferHandle {
  public:
   TransferHandle() = default;
   TransferHandle(TransferHandle&& o) noexcept
-      : mover_(o.mover_),
+      : mover_(std::exchange(o.mover_, nullptr)),
         sched_(o.sched_),
         transfer_(o.transfer_),
-        status_(o.status_),
-        ticket_(std::move(o.ticket_)) {
-    o.mover_ = nullptr;
-    o.sched_ = nullptr;
-    o.status_ = AioStatus();
-  }
+        ticket_(std::move(o.ticket_)) {}
   TransferHandle& operator=(TransferHandle&& o) noexcept {
     if (this != &o) {
-      mover_ = o.mover_;
+      mover_ = std::exchange(o.mover_, nullptr);
       sched_ = o.sched_;
       transfer_ = o.transfer_;
-      status_ = o.status_;
       ticket_ = std::move(o.ticket_);
-      o.mover_ = nullptr;
-      o.sched_ = nullptr;
-      o.status_ = AioStatus();
     }
     return *this;
   }
@@ -80,19 +71,15 @@ class [[nodiscard]] TransferHandle {
   void wait();
 
   bool done() const {
-    return sched_ != nullptr
-               ? ticket_->done.load(std::memory_order_acquire)
-               : status_.done();
+    return ticket_ == nullptr || ticket_->done.load(std::memory_order_acquire);
   }
   /// done() with no error recorded.
-  bool ok() const {
-    return sched_ != nullptr ? done() && error_code() == 0 : status_.ok();
-  }
+  bool ok() const { return done() && error_code() == 0; }
   /// errno of the first failed sub-request (0 = none). Never throws.
   int error_code() const {
-    return sched_ != nullptr
-               ? ticket_->error_code.load(std::memory_order_relaxed)
-               : status_.error_code();
+    return ticket_ == nullptr
+               ? 0
+               : ticket_->error_code.load(std::memory_order_relaxed);
   }
 
   const Transfer& transfer() const noexcept { return transfer_; }
@@ -101,11 +88,6 @@ class [[nodiscard]] TransferHandle {
 
  private:
   friend class DataMover;
-  TransferHandle(DataMover* mover, const Transfer& t, AioStatus status)
-      : mover_(mover), transfer_(t), status_(status) {}
-  /// A transfer routed through the scheduler: completion lives in the
-  /// ticket, not an AioStatus (the backing AIO request may be a merge of
-  /// several handles' ranges).
   TransferHandle(DataMover* mover, const Transfer& t, TransferScheduler* sched,
                  TransferScheduler::Ticket ticket)
       : mover_(mover), sched_(sched), transfer_(t), ticket_(std::move(ticket)) {}
@@ -113,10 +95,9 @@ class [[nodiscard]] TransferHandle {
   void wait_inner();
 
   DataMover* mover_ = nullptr;  ///< cleared once latency is recorded
-  TransferScheduler* sched_ = nullptr;  ///< non-null = scheduler-routed
+  TransferScheduler* sched_ = nullptr;
   Transfer transfer_{};
-  AioStatus status_{};
-  TransferScheduler::Ticket ticket_;
+  TransferScheduler::Ticket ticket_;  ///< nullptr = trivially complete
 };
 
 class DataMover {
@@ -131,7 +112,7 @@ class DataMover {
     std::array<RouteStats, kNumRoutes> routes{};
     std::uint64_t staged_pinned = 0;  ///< stage() served by a pinned lease
     std::uint64_t staged_heap = 0;    ///< stage() fell back to heap
-    /// Scheduler decision counters (coalescing, preemption, queue waits).
+    /// Scheduler decision counters (preemption, starvation, queue waits).
     TransferScheduler::Stats sched{};
     const RouteStats& route(Route r) const {
       return routes[static_cast<std::size_t>(r)];
@@ -141,12 +122,10 @@ class DataMover {
     double total_seconds() const;
   };
 
-  /// The two-argument form reads the scheduler's ZI_MOVE_* knobs from the
-  /// environment; tests pass an explicit config (and, via sched(), drive
-  /// the queues directly).
-  DataMover(NvmeStore& nvme, PinnedBufferPool& pinned);
+  /// Tests pass a narrower scheduler config to force queueing (and, via
+  /// sched(), drain the queues directly).
   DataMover(NvmeStore& nvme, PinnedBufferPool& pinned,
-            TransferScheduler::Config sched_config);
+            TransferScheduler::Config sched_config = {});
 
   DataMover(const DataMover&) = delete;
   DataMover& operator=(const DataMover&) = delete;
@@ -157,9 +136,9 @@ class DataMover {
   [[nodiscard]] StagingLease stage(std::size_t bytes);
 
   // --- NVMe routes (genuinely asynchronous) --------------------------------
-  // All NVMe traffic passes through the TransferScheduler (priority,
-  // rate limiting, coalescing) unless its config disables it. The class tag
-  // is the call site's knowledge of urgency: fetches default to kLatency
+  // All NVMe traffic passes through the TransferScheduler (priority
+  // classes and the starvation bound), one request per transfer. The class
+  // tag is the call site's knowledge of urgency: fetches default to kLatency
   // (compute usually blocks on them), spills to kBulk; the coordinator
   // downgrades speculative prefetches explicitly.
 
@@ -183,10 +162,9 @@ class DataMover {
                        std::uint64_t offset = 0);
 
   // --- KV-cache routes (serving decode traffic) ----------------------------
-  // Same mechanics as the NVMe routes (scheduler-routed, coalescible,
-  // rate-limited) but accounted on the dedicated kKvFetch/kKvSpill routes so
-  // weight streaming and KV-cache streaming stay separable in RouteStats and
-  // StepReport. Decode fetches block compute (kLatency); appends of freshly
+  // Same mechanics as the NVMe routes (scheduler-routed, prioritised) but
+  // accounted on the dedicated kKvFetch/kKvSpill routes so weight streaming
+  // and KV-cache streaming stay separable in RouteStats and StepReport. Decode fetches block compute (kLatency); appends of freshly
   // computed KV rows ride the bulk class.
 
   /// KV extent[offset, offset+dst.size()) → dst.
@@ -213,11 +191,16 @@ class DataMover {
 
   NvmeStore& nvme() noexcept { return nvme_; }
   PinnedBufferPool& pinned() noexcept { return pinned_; }
-  /// The scheduling stage (tests kick/drain it directly).
+  /// The scheduling stage (tests drain it directly).
   TransferScheduler& sched() noexcept { return sched_; }
 
  private:
   friend class TransferHandle;
+  /// The one async path: validate the extent range, count the transfer,
+  /// hand it to the scheduler.
+  TransferHandle submit(Route r, const Extent& extent, std::byte* data,
+                        std::size_t bytes, std::uint64_t offset,
+                        TransferClass cls);
   void note_issue(Route r, std::uint64_t bytes);
   void note_seconds(Route r, std::uint64_t ns);
   static void check_extent(const Extent& extent, std::size_t bytes,

@@ -1,34 +1,27 @@
-// TransferScheduler — the route-aware scheduling stage between DataMover
-// submission and the AIO backend (the ROADMAP's "single biggest raw-speed
-// lever": issue NVMe traffic in the order compute needs it, in requests
-// large enough to amortize per-request overhead).
+// TransferScheduler — the priority stage between DataMover submission and
+// the AIO backend: NVMe traffic is issued in the order compute needs it,
+// not in caller arrival order.
 //
-// Three mechanisms, all decided inside the scheduler rather than by caller
-// arrival order:
+// Two mechanisms, both decided inside the scheduler:
 //
 //   * Priority classes. Every transfer carries a TransferClass: kLatency
 //     (a fetch compute is about to block on — prefetch misses, the chunked
 //     optimizer's state loads) or kBulk (spills, speculative prefetches).
 //     Queued latency transfers are issued ahead of queued bulk transfers
-//     sharing the AIO worker pool.
+//     sharing the `max_inflight` backend slots.
 //   * Starvation bound. After `starvation_bound` consecutive latency issues
 //     while bulk work waits, one bulk transfer is forced through, so spills
 //     still drain when fetch traffic saturates the NVMe path.
-//   * Coalescing. Consecutive queued transfers on the same route whose
-//     file ranges are exactly adjacent (the optimizer's three state streams
-//     per chunk, consecutive parameter shards in trace order) merge into
-//     one backend request staged through a bounce buffer, then split back
-//     to the original tickets on completion. Overlapping ranges, gaps, and
-//     cross-route pairs never merge. If a merged request fails, every
-//     segment is re-issued individually so retry and fault-injection
-//     semantics stay per original handle (split-on-partial-failure).
+//
+// Every transfer is issued to the backend as its own request; bandwidth
+// comes from the AIO engine's bulk asynchronous sub-requests, not from
+// merging or throttling here.
 //
 // Built testable-first: the scheduler is passive (no threads of its own —
-// state advances inside submit()/wait()/kick() and backend completion
-// callbacks), the backend is a virtual seam (NvmeSchedBackend in
-// production, a recording fake in tests), and time comes from a SchedClock
-// (steady_clock in production, a synthetic counter in tests), so ordering,
-// coalescing, and starvation decisions are asserted deterministically.
+// state advances inside submit()/wait()/drain() and backend completion
+// callbacks), and the backend is a virtual seam (NvmeSchedBackend in
+// production, a recording fake in tests), so ordering and starvation
+// decisions are asserted deterministically.
 #pragma once
 
 #include <atomic>
@@ -39,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "aio/nvme_store.hpp"
 #include "common/thread_annotations.hpp"
@@ -59,19 +51,8 @@ inline constexpr int kNumTransferClasses = 2;
 /// "latency" / "bulk".
 const char* transfer_class_name(TransferClass c);
 
-/// Time source seam. Production uses the steady clock; tests substitute a
-/// synthetic counter so token-bucket decisions are wall-clock-free.
-/// Implementations must be safe to call from any thread.
-class SchedClock {
- public:
-  virtual ~SchedClock() = default;
-  virtual std::uint64_t now_ns() = 0;
-};
-
 /// One backend I/O as the scheduler issues it: a contiguous byte range of
-/// the backing store at an absolute offset. A merged request covers several
-/// original transfers; `data` then points into the scheduler's bounce
-/// buffer.
+/// the backing store at an absolute offset.
 struct SchedOp {
   Route route = Route::kNvmeFetch;
   std::uint64_t offset = 0;  ///< absolute byte offset in the backing store
@@ -116,34 +97,15 @@ struct SchedTicket {
 
 class TransferScheduler {
  public:
+  /// Production uses the defaults; tests narrow them to force queueing.
   struct Config {
-    /// Master switch (ZI_MOVE_SCHED): when false DataMover bypasses the
-    /// scheduler entirely and submits straight to the NvmeStore.
-    bool enabled = true;
-    /// Merge adjacent same-route transfers (ZI_MOVE_COALESCE).
-    bool coalesce = true;
-    /// Byte cap of one merged backend request (ZI_MOVE_MAX_MERGE_BYTES).
-    std::uint64_t max_merge_bytes = 4ull << 20;
-    /// Only transfers at most this large participate in a merge — big
-    /// requests already amortize per-request overhead, and merging them
-    /// would just buy an extra bounce copy.
-    std::uint64_t coalesce_segment_bytes = 1ull << 20;
-    /// Backend requests in flight at once (ZI_MOVE_MAX_INFLIGHT). This is
-    /// what gives priorities teeth: excess work queues here, where a
-    /// latency fetch can still overtake it.
+    /// Backend requests in flight at once. This is what gives priorities
+    /// teeth: excess work queues here, where a latency fetch can still
+    /// overtake it.
     std::size_t max_inflight = 4;
     /// Bulk issued at least once per this many consecutive latency issues
-    /// while bulk work is queued (ZI_MOVE_STARVATION_BOUND).
+    /// while bulk work is queued.
     int starvation_bound = 4;
-    /// Per-route token-bucket rates in bytes/sec, indexed by Route
-    /// (ZI_MOVE_FETCH_MBPS / ZI_MOVE_SPILL_MBPS fill the NVMe routes).
-    /// 0 = unlimited.
-    std::uint64_t rate_bytes_per_sec[kNumRoutes] = {};
-    /// Token-bucket capacity (burst allowance), bytes.
-    std::uint64_t burst_bytes = 8ull << 20;
-
-    /// Read the ZI_MOVE_* environment knobs over the defaults above.
-    static Config from_env();
   };
 
   /// Cumulative decision counters, exported through DataMover::Stats into
@@ -151,23 +113,20 @@ class TransferScheduler {
   struct Stats {
     std::uint64_t scheduled = 0;       ///< transfers entering the scheduler
     std::uint64_t backend_ops = 0;     ///< requests issued to the backend
-    std::uint64_t merged_ops = 0;      ///< backend ops carrying >= 2 transfers
-    std::uint64_t coalesced_transfers = 0;  ///< transfers that rode a merge
+    /// Always 0: transfers are never merged. Kept because the benchmark
+    /// still reads it (`move.coalesced_frac`).
+    std::uint64_t coalesced_transfers = 0;
     std::uint64_t preemptions = 0;     ///< latency issued ahead of queued bulk
     std::uint64_t starvation_yields = 0;  ///< bulk forced through by the bound
-    std::uint64_t fallback_ops = 0;    ///< per-segment re-issues after a
-                                       ///< merged request failed
     std::uint64_t queue_ns[kNumTransferClasses] = {};  ///< submit→issue wait
   };
 
   using Ticket = std::shared_ptr<detail::SchedTicket>;
 
-  /// `backend` and `clock` (when given) must outlive the scheduler.
-  /// `clock == nullptr` uses the steady clock.
-  TransferScheduler(SchedBackend& backend, Config config,
-                    SchedClock* clock = nullptr);
-  /// Drains: every queued transfer is issued (token buckets bypassed) and
-  /// every in-flight completion observed before destruction returns.
+  /// `backend` must outlive the scheduler.
+  TransferScheduler(SchedBackend& backend, Config config);
+  /// Drains: every queued transfer is issued and every in-flight completion
+  /// observed before destruction returns.
   ~TransferScheduler();
 
   TransferScheduler(const TransferScheduler&) = delete;
@@ -184,16 +143,11 @@ class TransferScheduler {
   /// call repeatedly and from multiple threads.
   void wait(const Ticket& t) ZI_EXCLUDES(mutex_);
 
-  /// Re-evaluate the queues now (token buckets may have refilled). Waiters
-  /// call this implicitly; tests call it after advancing a synthetic clock.
-  void kick() ZI_EXCLUDES(mutex_);
-
-  /// Issue everything queued (bypassing token buckets) and wait for every
-  /// in-flight request. Errors stay recorded in their tickets.
+  /// Issue everything queued and wait for every in-flight request. Errors
+  /// stay recorded in their tickets.
   void drain() ZI_EXCLUDES(mutex_);
 
   Stats stats() const ZI_EXCLUDES(mutex_);
-  const Config& config() const noexcept { return config_; }
 
  private:
   struct Pending {
@@ -203,48 +157,24 @@ class TransferScheduler {
     Ticket ticket;
   };
   struct Inflight {
-    SchedOp op;                     ///< the (possibly merged) issued range
-    std::vector<Pending> segs;      ///< size >= 2 ⇒ coalesced
-    std::vector<std::byte> bounce;  ///< merged ops stage through this
+    Ticket ticket;
     AioStatus status;
-    bool fallback = false;  ///< re-issued segment of a failed merge
-  };
-  struct Bucket {
-    double tokens = 0.0;  ///< bytes; may go negative (debt) after an issue
-    std::uint64_t last_refill_ns = 0;
   };
 
-  std::uint64_t clock_now();
   void on_backend_done(std::uint64_t id) ZI_EXCLUDES(mutex_);
-  /// Issue as much queued work as slots and tokens allow.
+  /// Issue queued work, highest priority first, while slots are free.
   void pump() ZI_REQUIRES(mutex_);
-  /// Try to issue one batch from `cls`'s queue head. False when its route's
-  /// token bucket is in debt (next_ready_ns_ updated).
-  bool try_issue(TransferClass cls, bool other_waiting, bool forced_bulk)
-      ZI_REQUIRES(mutex_);
-  /// Hand one (possibly merged) request to the backend.
-  void issue_op(Inflight op) ZI_REQUIRES(mutex_);
-  void refill_buckets(std::uint64_t now_ns) ZI_REQUIRES(mutex_);
-  void complete_ticket(const Ticket& t, std::exception_ptr error,
-                       int error_code) ZI_REQUIRES(mutex_);
 
   SchedBackend& backend_;
   const Config config_;
-  SchedClock* const clock_;  ///< nullptr = steady clock
 
-  mutable Mutex mutex_{"TransferScheduler::mutex_"};
+  mutable Mutex mutex_;
   CondVar cv_;
   std::deque<Pending> queues_[kNumTransferClasses] ZI_GUARDED_BY(mutex_);
   std::unordered_map<std::uint64_t, Inflight> inflight_ ZI_GUARDED_BY(mutex_);
   std::uint64_t next_op_id_ ZI_GUARDED_BY(mutex_) = 0;
-  Bucket buckets_[kNumRoutes] ZI_GUARDED_BY(mutex_);
   /// Consecutive latency issues with bulk work waiting (starvation bound).
   int consecutive_latency_ ZI_GUARDED_BY(mutex_) = 0;
-  /// Earliest ns at which a throttled queue head becomes issuable (0 =
-  /// nothing throttled); waiters sleep until then when nothing is in
-  /// flight to pump for them.
-  std::uint64_t next_ready_ns_ ZI_GUARDED_BY(mutex_) = 0;
-  bool draining_ ZI_GUARDED_BY(mutex_) = false;
   Stats stats_ ZI_GUARDED_BY(mutex_);
 };
 

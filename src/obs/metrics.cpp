@@ -3,7 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
+
+#include "common/thread_annotations.hpp"
 
 namespace zi {
 
@@ -93,8 +94,6 @@ std::string StepReport::to_json_line() const {
   append_kv(out, "move_wait_seconds", move_wait_seconds);
   append_kv(out, "staged_pinned", staged_pinned);
   append_kv(out, "staged_heap", staged_heap);
-  append_kv(out, "coalesced_transfers", coalesced_transfers);
-  append_kv(out, "coalesce_ratio", coalesce_ratio);
   append_kv(out, "sched_preemptions", sched_preemptions);
   append_kv(out, "sched_latency_wait_seconds", sched_latency_wait_seconds);
   append_kv(out, "sched_bulk_wait_seconds", sched_bulk_wait_seconds);
@@ -116,10 +115,10 @@ std::string StepReport::to_json_line() const {
 }
 
 struct MetricsSink::Impl {
-  mutable std::mutex mutex;
-  std::ofstream out;
-  std::string path;
-  std::uint64_t lines = 0;
+  mutable Mutex mutex;
+  std::ofstream out ZI_GUARDED_BY(mutex);
+  std::string path ZI_GUARDED_BY(mutex);
+  std::uint64_t lines ZI_GUARDED_BY(mutex) = 0;
 };
 
 MetricsSink::Impl& MetricsSink::impl() const {
@@ -134,7 +133,7 @@ MetricsSink& MetricsSink::instance() {
 
 void MetricsSink::open(std::string path) {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   im.out.close();
   im.out.clear();
   im.out.open(path, std::ios::trunc);
@@ -151,7 +150,7 @@ void MetricsSink::open(std::string path) {
 void MetricsSink::close() {
   detail::g_metrics_enabled.store(false, std::memory_order_relaxed);
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   im.out.flush();
   im.out.close();
   im.path.clear();
@@ -166,7 +165,7 @@ void MetricsSink::init_from_env() {
 void MetricsSink::write(const StepReport& report) {
   const std::string line = report.to_json_line();
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   if (!im.out.is_open()) return;
   im.out << line << '\n';
   im.out.flush();  // step granularity: durability beats buffering
@@ -175,7 +174,7 @@ void MetricsSink::write(const StepReport& report) {
 
 std::uint64_t MetricsSink::lines_written() const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   return im.lines;
 }
 

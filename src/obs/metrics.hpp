@@ -9,9 +9,9 @@
 // (step, rank); comm and AIO counters are shared across ranks and are
 // reported as world-aggregate deltas sampled at the rank's step boundaries.
 //
-// Disabled cost is one relaxed atomic load per step (lock_tracker /
-// fault_injector pattern): the snapshotting itself only runs when enabled.
-// Like trace.hpp this header is std-only so any layer can use it.
+// Disabled cost is one relaxed atomic load per step (the fault_injector
+// pattern): the snapshotting itself only runs when enabled. Like trace.hpp
+// this header is std-only so any layer can use it.
 #pragma once
 
 #include <atomic>
@@ -80,10 +80,8 @@ struct StepReport {
   std::uint64_t staged_pinned = 0;  ///< stage() served from the pinned pool
   std::uint64_t staged_heap = 0;    ///< stage() fell back to heap
 
-  // Transfer scheduler deltas (this rank): how the scheduling stage between
-  // DataMover and the AIO engine reshaped the step's NVMe traffic.
-  std::uint64_t coalesced_transfers = 0;  ///< transfers that rode a merge
-  double coalesce_ratio = 0.0;  ///< coalesced/scheduled this step (0 = none)
+  // Transfer scheduler deltas (this rank): how the priority stage between
+  // DataMover and the AIO engine ordered the step's NVMe traffic.
   std::uint64_t sched_preemptions = 0;  ///< latency issued ahead of bulk
   double sched_latency_wait_seconds = 0.0;  ///< latency-class submit→issue
   double sched_bulk_wait_seconds = 0.0;     ///< bulk-class submit→issue

@@ -4,8 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <vector>
+
+#include "common/thread_annotations.hpp"
 
 namespace zi {
 
@@ -26,20 +27,22 @@ struct TraceEvent {
   char phase = 'X';
 };
 
-/// One thread's event ring. Deliberately leaked (like the lock-tracker
+/// One thread's event ring. Deliberately leaked (like the Tracer
 /// singleton) so export still works after the owning thread has exited.
 struct ThreadRing {
-  std::mutex mutex;  // plain std::mutex: no lock_tracker recursion
-  std::vector<TraceEvent> events;  // ring storage; capacity fixed at creation
-  std::size_t capacity = kDefaultRingCapacity;
-  std::size_t next = 0;            // overwrite cursor once full
-  std::uint64_t recorded = 0;
-  std::uint64_t dropped = 0;       // events overwritten by wraparound
-  int tid = 0;
-  std::string name;
+  Mutex mutex;
+  /// Ring storage; capacity fixed at creation.
+  std::vector<TraceEvent> events ZI_GUARDED_BY(mutex);
+  std::size_t capacity ZI_GUARDED_BY(mutex) = kDefaultRingCapacity;
+  std::size_t next ZI_GUARDED_BY(mutex) = 0;  // overwrite cursor once full
+  std::uint64_t recorded ZI_GUARDED_BY(mutex) = 0;
+  /// Events overwritten by wraparound.
+  std::uint64_t dropped ZI_GUARDED_BY(mutex) = 0;
+  int tid ZI_GUARDED_BY(mutex) = 0;
+  std::string name ZI_GUARDED_BY(mutex);
 
-  void push(TraceEvent ev) {
-    std::lock_guard<std::mutex> lock(mutex);
+  void push(TraceEvent ev) ZI_EXCLUDES(mutex) {
+    LockGuard lock(mutex);
     ++recorded;
     if (events.size() < capacity) {
       events.push_back(std::move(ev));
@@ -110,12 +113,15 @@ void append_event_json(std::string& out, const TraceEvent& ev, int tid) {
 
 }  // namespace
 
+/// Lock order: registry_mutex before any ring's mutex.
 struct Tracer::Impl {
-  mutable std::mutex registry_mutex;
-  std::vector<ThreadRing*> rings;  // leaked ring objects, creation order
-  std::string output_path;
-  std::size_t ring_capacity = kDefaultRingCapacity;
-  bool atexit_registered = false;
+  mutable Mutex registry_mutex;
+  /// Leaked ring objects, creation order.
+  std::vector<ThreadRing*> rings ZI_GUARDED_BY(registry_mutex);
+  std::string output_path ZI_GUARDED_BY(registry_mutex);
+  std::size_t ring_capacity ZI_GUARDED_BY(registry_mutex) =
+      kDefaultRingCapacity;
+  bool atexit_registered ZI_GUARDED_BY(registry_mutex) = false;
 };
 
 Tracer::Impl& Tracer::impl() const {
@@ -140,7 +146,7 @@ std::uint64_t Tracer::now_ns() {
 
 void Tracer::set_output_path(std::string path) {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.registry_mutex);
+  LockGuard lock(im.registry_mutex);
   im.output_path = std::move(path);
 }
 
@@ -150,7 +156,7 @@ void Tracer::init_from_env() {
   set_output_path(path);
   set_enabled(true);
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.registry_mutex);
+  LockGuard lock(im.registry_mutex);
   if (!im.atexit_registered) {
     im.atexit_registered = true;
     std::atexit(+[] { Tracer::instance().flush(); });
@@ -160,14 +166,14 @@ void Tracer::init_from_env() {
 void Tracer::set_thread_name(const std::string& name) {
   t_pending_name = name;
   if (t_ring != nullptr) {
-    std::lock_guard<std::mutex> lock(t_ring->mutex);
+    LockGuard lock(t_ring->mutex);
     t_ring->name = name;
   }
 }
 
 void Tracer::set_ring_capacity(std::size_t events) {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.registry_mutex);
+  LockGuard lock(im.registry_mutex);
   im.ring_capacity = events == 0 ? 1 : events;
 }
 
@@ -178,7 +184,8 @@ ThreadRing& get_ring(Tracer::Impl& im) {
   if (t_ring != nullptr) return *t_ring;
   auto* ring = new ThreadRing;  // leaked: outlives the thread for export
   {
-    std::lock_guard<std::mutex> lock(im.registry_mutex);
+    LockGuard lock(im.registry_mutex);
+    LockGuard rlock(ring->mutex);
     ring->capacity = im.ring_capacity;
     ring->tid = static_cast<int>(im.rings.size());
     ring->name = t_pending_name.empty() ? "thread" + std::to_string(ring->tid)
@@ -220,7 +227,7 @@ std::string Tracer::export_json() const {
   Impl& im = impl();
   std::vector<ThreadRing*> rings;
   {
-    std::lock_guard<std::mutex> lock(im.registry_mutex);
+    LockGuard lock(im.registry_mutex);
     rings = im.rings;
   }
 
@@ -229,7 +236,7 @@ std::string Tracer::export_json() const {
   out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
          "\"args\":{\"name\":\"zero_infinity\"}}";
   for (ThreadRing* ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mutex);
+    LockGuard lock(ring->mutex);
     out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += std::to_string(ring->tid);
     out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
@@ -265,7 +272,7 @@ void Tracer::flush() const {
   Impl& im = impl();
   std::string path;
   {
-    std::lock_guard<std::mutex> lock(im.registry_mutex);
+    LockGuard lock(im.registry_mutex);
     path = im.output_path;
   }
   if (!path.empty()) write_json(path);
@@ -273,9 +280,9 @@ void Tracer::flush() const {
 
 void Tracer::reset() {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.registry_mutex);
+  LockGuard lock(im.registry_mutex);
   for (ThreadRing* ring : im.rings) {
-    std::lock_guard<std::mutex> rlock(ring->mutex);
+    LockGuard rlock(ring->mutex);
     ring->events.clear();
     ring->next = 0;
     ring->recorded = 0;
@@ -285,11 +292,11 @@ void Tracer::reset() {
 
 Tracer::Stats Tracer::stats() const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.registry_mutex);
+  LockGuard lock(im.registry_mutex);
   Stats s;
   s.threads = im.rings.size();
   for (ThreadRing* ring : im.rings) {
-    std::lock_guard<std::mutex> rlock(ring->mutex);
+    LockGuard rlock(ring->mutex);
     s.events_recorded += ring->recorded;
     s.events_dropped += ring->dropped;
   }

@@ -2,9 +2,9 @@
 // trace-event JSON (viewable in Perfetto / chrome://tracing).
 //
 // Every instrumented site costs ONE relaxed atomic load while tracing is
-// disabled — the same pattern as common/lock_tracker.hpp and
-// testing/fault_injector.hpp: a process-wide flag gates everything, and the
-// singleton (rings, registry, output path) is never touched when off.
+// disabled — the same pattern as testing/fault_injector.hpp: a process-wide
+// flag gates everything, and the singleton (rings, registry, output path) is
+// never touched when off.
 //
 // Enabled sites append fixed-size events to a per-thread ring buffer (one
 // Perfetto track per thread; rank threads are named "rank<r>" by

@@ -11,8 +11,8 @@
 //           dedicated kKvFetch/kKvSpill routes so serving traffic stays
 //           separable from weight streaming in RouteStats.
 //   kNvme — one extent per request slot; layer touches are async NVMe
-//           transfers on the same kKv* routes, rate-limited and coalesced
-//           by the TransferScheduler like every other NVMe move.
+//           transfers on the same kKv* routes, prioritised by the
+//           TransferScheduler like every other NVMe move.
 //
 // The working buffer is a single pinned StagingLease sized for one layer
 // (K rows then V rows), acquired once and held for the cache's lifetime —

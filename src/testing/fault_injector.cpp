@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace zi {
 
@@ -120,19 +120,19 @@ struct FaultInjector::Impl {
     std::map<int, std::uint64_t> actor_ops;
   };
 
-  // Raw std::mutex: the injector sits underneath zi::Mutex users (arena,
-  // pinned pool) and must never recurse into tracked locking.
-  mutable std::mutex mutex;
-  std::uint64_t seed = 0;
-  std::array<SiteState, kNumFaultSites> sites;
+  // A leaf lock: nothing is called out to while it is held.
+  mutable Mutex mutex;
+  std::uint64_t seed ZI_GUARDED_BY(mutex) = 0;
+  std::array<SiteState, kNumFaultSites> sites ZI_GUARDED_BY(mutex);
 
-  SiteState& site(FaultSite s) {
+  SiteState& site(FaultSite s) ZI_REQUIRES(mutex) {
     return sites[static_cast<std::size_t>(static_cast<int>(s))];
   }
 };
 
 FaultInjector& FaultInjector::instance() {
-  static FaultInjector* injector = new FaultInjector;  // leaked: see tracker
+  // Leaked: sites may fire during static teardown.
+  static FaultInjector* injector = new FaultInjector;
   return *injector;
 }
 
@@ -143,19 +143,19 @@ FaultInjector::Impl& FaultInjector::impl() const {
 
 void FaultInjector::add_rule(const FaultRule& rule) {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   im.site(rule.site).rules.push_back({rule, 0});
 }
 
 void FaultInjector::set_seed(std::uint64_t seed) {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   im.seed = seed;
 }
 
 std::uint64_t FaultInjector::seed() const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   return im.seed;
 }
 
@@ -170,7 +170,7 @@ void FaultInjector::disarm() {
 void FaultInjector::clear() {
   disarm();
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   im.seed = 0;
   for (auto& s : im.sites) s = Impl::SiteState{};
 }
@@ -178,7 +178,7 @@ void FaultInjector::clear() {
 FaultDecision FaultInjector::evaluate(FaultSite site, int actor) {
   Impl& im = impl();
   FaultDecision d;
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   Impl::SiteState& s = im.site(site);
   const std::uint64_t ordinal = s.ops++;
   std::uint64_t actor_ordinal = 0;
@@ -225,13 +225,13 @@ FaultDecision FaultInjector::evaluate(FaultSite site, int actor) {
 
 FaultInjector::SiteStats FaultInjector::stats(FaultSite site) const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   return im.site(site).stats;
 }
 
 std::uint64_t FaultInjector::total_fires() const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   std::uint64_t total = 0;
   for (const auto& s : im.sites) {
     total += s.stats.errors + s.stats.shorts + s.stats.delays;
@@ -241,7 +241,7 @@ std::uint64_t FaultInjector::total_fires() const {
 
 std::vector<FaultRule> FaultInjector::rules(FaultSite site) const {
   Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  LockGuard lock(im.mutex);
   std::vector<FaultRule> out;
   for (const auto& rs : im.site(site).rules) out.push_back(rs.rule);
   return out;
@@ -350,9 +350,9 @@ void FaultInjector::configure(const std::string& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// ZI_FAULTS env hook: parsed once at static-init time, mirroring
-// ZI_LOCK_TRACKER. A malformed spec aborts loudly — silently ignoring a
-// typo'd fault schedule would fake passing stress runs.
+// ZI_FAULTS env hook: parsed once at static-init time, like ZI_TRACE and
+// ZI_METRICS. A malformed spec aborts loudly — silently ignoring a typo'd
+// fault schedule would fake passing stress runs.
 
 namespace {
 struct EnvFaultsInit {

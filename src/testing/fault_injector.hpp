@@ -41,7 +41,7 @@
 // sequence is still fixed, which is what the masking/retry invariants need.
 //
 // Zero overhead when disabled: call sites guard with a single relaxed
-// atomic load (fault_check() below — the same pattern as lock_tracker), and
+// atomic load (fault_check() below — the same pattern as obs/trace.hpp), and
 // the singleton is never touched.
 //
 // Enabling: export ZI_FAULTS="seed=42;aio_read:error,p=0.05;..." before

@@ -1,11 +1,13 @@
 // Collectives tests, including the determinism property the ZeRO ≡ DDP
-// equivalence rests on: allreduce == reduce_scatter + allgather exactly.
+// equivalence rests on: allreduce == reduce_scatter + allgather exactly;
+// and eager point-to-point messaging.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
 #include "comm/world.hpp"
+#include "common/error.hpp"
 #include "common/half.hpp"
 
 namespace zi {
@@ -185,6 +187,65 @@ TEST(Comm, RepeatedCollectivesDoNotDeadlock) {
       comm.allgather<float>(std::span<const float>(shard), v);
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// p2p
+
+TEST(P2p, SendRecvRoundtrip) {
+  run_ranks(2, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      std::vector<float> msg = {1.0f, 2.0f, 3.0f};
+      comm.send<float>(msg, /*to=*/1, /*tag=*/7);
+    } else {
+      std::vector<float> got(3);
+      comm.recv<float>(got, /*from=*/0, /*tag=*/7);
+      EXPECT_EQ(got, (std::vector<float>{1.0f, 2.0f, 3.0f}));
+    }
+  });
+}
+
+TEST(P2p, EagerSendDoesNotBlock) {
+  // Everyone sends before anyone receives — deadlock-free by buffering.
+  run_ranks(4, [](Communicator& comm) {
+    const int n = comm.size();
+    std::vector<float> msg = {static_cast<float>(comm.rank())};
+    comm.send<float>(msg, (comm.rank() + 1) % n, 0);
+    std::vector<float> got(1);
+    comm.recv<float>(got, (comm.rank() + n - 1) % n, 0);
+    EXPECT_EQ(got[0], static_cast<float>((comm.rank() + n - 1) % n));
+  });
+}
+
+TEST(P2p, FifoOrderPerChannel) {
+  run_ranks(2, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 10; ++i) {
+        std::vector<float> msg = {static_cast<float>(i)};
+        comm.send<float>(msg, 1, i);
+      }
+    } else {
+      for (int i = 0; i < 10; ++i) {
+        std::vector<float> got(1);
+        comm.recv<float>(got, 0, i);
+        EXPECT_EQ(got[0], static_cast<float>(i));
+      }
+    }
+  });
+}
+
+TEST(P2p, SizeMismatchThrows) {
+  EXPECT_THROW(run_ranks(2,
+                         [](Communicator& comm) {
+                           if (comm.rank() == 0) {
+                             std::vector<float> msg(3, 1.0f);
+                             comm.send<float>(msg, 1, 0);
+                           } else {
+                             std::vector<float> got(5);
+                             comm.recv<float>(got, 0, 0);
+                           }
+                         }),
+               Error);
 }
 
 }  // namespace

@@ -159,6 +159,36 @@ TEST_F(DataMoverTest, NvmeRoundtripThroughAsyncHandles) {
   EXPECT_GE(s.total_seconds(), 0.0);
 }
 
+TEST_F(DataMoverTest, RejectedTransfersLeaveStatsUntouched) {
+  AioEngine aio;
+  RankResources res(0, aio, 1 << 20, 1 << 20, dir_, 4096, 2);
+  DataMover& mover = res.mover();
+
+  Extent small = res.nvme().allocate(4096);
+  Extent released = res.nvme().allocate(4096);
+  released.release();
+  std::vector<std::byte> buf(8192);
+  const std::span<std::byte> big(buf);
+  const std::span<std::byte> fits = big.first(4096);
+
+  // 8 KiB against a 4 KiB extent, a 4 KiB range starting past its middle,
+  // and any range on a released extent: on an NVMe and a KV route each.
+  EXPECT_THROW((void)mover.fetch_nvme(small, big), Error);
+  EXPECT_THROW((void)mover.spill_nvme(small, fits, 2048), Error);
+  EXPECT_THROW((void)mover.fetch_kv(small, fits, 2048), Error);
+  EXPECT_THROW((void)mover.spill_kv(small, big), Error);
+  EXPECT_THROW((void)mover.fetch_nvme(released, fits), Error);
+  EXPECT_THROW(mover.spill_nvme_sync(released, fits), Error);
+  EXPECT_THROW((void)mover.fetch_kv(released, fits), Error);
+  EXPECT_THROW((void)mover.spill_kv(released, fits), Error);
+
+  const DataMover::Stats s = mover.stats();
+  EXPECT_EQ(s.total_bytes(), 0u);
+  EXPECT_EQ(s.total_transfers(), 0u);
+  EXPECT_EQ(s.sched.scheduled, 0u);
+  EXPECT_EQ(aio.stats().requests, 0u);
+}
+
 TEST_F(DataMoverTest, MemcpyRoutesAreCountedPerRoute) {
   AioEngine aio;
   RankResources res(0, aio, 1 << 20, 1 << 20, dir_, 4096, 2);

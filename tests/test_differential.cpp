@@ -132,53 +132,6 @@ TEST_P(DifferentialTest, MatchesDdpBaselineInLossesAndFinalState) {
   EXPECT_TRUE(base_bytes == test_bytes);
 }
 
-// ---------------------------------------------------------------------------
-// The transfer scheduler's coalescing must be invisible to training: the
-// merged backend requests change only how bytes travel, never which bytes.
-// A ZeRO-3 + NVMe run (params, optimizer state, and activations all on
-// NVMe, so every stream crosses the scheduler) with coalescing on must
-// match the same run with coalescing off bit-for-bit — every step's loss
-// and the final unpartitioned checkpoint payload.
-
-TEST(CoalesceDifferential, CoalescingOnVsOffIsBitIdentical) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("zi_diff_coalesce_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-
-  const GptConfig model_cfg = tiny_model();
-  constexpr int kWorld = 2;
-  constexpr int kSteps = 20;
-  const std::string on_ckpt = (dir / "on.ckpt").string();
-  const std::string off_ckpt = (dir / "off.ckpt").string();
-
-  // DataMover reads ZI_MOVE_* at construction (inside run_and_checkpoint),
-  // so toggling the env between runs flips exactly the coalescer. A single
-  // in-flight slot makes queues actually form at this tiny scale, so the
-  // coalesce-on run really does ride merged requests (hundreds of
-  // transfers per run), not just the solo path.
-  ::setenv("ZI_MOVE_MAX_INFLIGHT", "1", 1);
-  ::setenv("ZI_MOVE_COALESCE", "1", 1);
-  const std::vector<float> on_losses = run_and_checkpoint(
-      make_zero_inf_nvme_acts(), model_cfg, kWorld, kSteps, dir, on_ckpt);
-  ::setenv("ZI_MOVE_COALESCE", "0", 1);
-  const std::vector<float> off_losses = run_and_checkpoint(
-      make_zero_inf_nvme_acts(), model_cfg, kWorld, kSteps, dir, off_ckpt);
-  ::unsetenv("ZI_MOVE_COALESCE");
-  ::unsetenv("ZI_MOVE_MAX_INFLIGHT");
-
-  ASSERT_EQ(on_losses.size(), off_losses.size());
-  for (std::size_t s = 0; s < on_losses.size(); ++s) {
-    EXPECT_EQ(on_losses[s], off_losses[s]) << "step " << s;
-  }
-  const auto on_bytes = file_bytes(on_ckpt);
-  const auto off_bytes = file_bytes(off_ckpt);
-  ASSERT_FALSE(on_bytes.empty());
-  ASSERT_EQ(on_bytes.size(), off_bytes.size());
-  EXPECT_TRUE(on_bytes == off_bytes);
-
-  fs::remove_all(dir);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, DifferentialTest,
     ::testing::Values(Strategy{"zero1", &preset_zero1},

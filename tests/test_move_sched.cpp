@@ -1,29 +1,21 @@
 // TransferScheduler tests (src/move/sched.*) — the deterministic harness
-// that locks down the route-aware scheduling stage.
+// that locks down the priority stage.
 //
-// Everything here is wall-clock-free: ordering, coalescing, starvation, and
-// token-bucket decisions are asserted through the scheduler's two seams —
-// a recording FakeBackend (completions happen exactly when the test says
-// so) and a synthetic TestClock (token refills happen exactly when the test
-// advances it). No sleeps, no timing asserts.
+// Ordering is asserted through the scheduler's backend seam: a recording
+// FakeBackend whose completions happen exactly when the test says so. No
+// sleeps, no timing asserts.
 //
-// Five layers under test:
+// Four layers under test:
 //   1. priority — a latency fetch overtakes queued bulk spills, and the
 //      starvation bound forces bulk through under latency pressure;
-//   2. coalescing — exactly-adjacent same-route runs merge (gather for
-//      spills, scatter for fetches); gaps, overlaps, route changes, and
-//      oversized segments never merge;
-//   3. token buckets — per-route rates throttle via the synthetic clock,
-//      kick() re-evaluates after a refill, other routes stay unaffected;
-//   4. accounting — through a real DataMover + NvmeStore, a coalesced run
-//      counts bytes/transfers per original handle exactly once, identically
-//      with coalescing on and off;
-//   5. faults — injected aio_read errors on a merged request split back to
-//      per-segment re-issues, failing exactly the original handles that
-//      drew the error (no cross-handle corruption), deterministically.
+//   2. zero-length transfers complete without touching the backend;
+//   3. faults — through a real DataMover + NvmeStore, injected aio_read
+//      errors fail exactly the handles that drew them (no cross-handle
+//      corruption), deterministically, and short reads stay bit-exact;
+//   4. concurrency — many producers mixing classes round-trip bit-exact.
+
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -56,26 +48,10 @@ std::vector<std::byte> pattern_bytes(std::size_t n, unsigned seed) {
 }
 
 // ---------------------------------------------------------------------------
-// The two seams.
+// The backend seam.
 
-/// Synthetic time: now_ns() is a counter the test advances. Atomic because
-/// the scheduler may read it from completion callbacks.
-class TestClock final : public SchedClock {
- public:
-  std::uint64_t now_ns() override {
-    return ns_.load(std::memory_order_relaxed);
-  }
-  void advance(std::uint64_t delta_ns) {
-    ns_.fetch_add(delta_ns, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> ns_{1};
-};
-
-/// Recording backend: issue() appends the op (and, for spills, a snapshot
-/// of the payload — the gather has already happened by issue time) and
-/// returns a manually-completable status. The test completes ops with
+/// Recording backend: issue() appends the op and returns a
+/// manually-completable status. The test completes ops with
 /// complete_ok()/complete_error(), honouring the SchedBackend contract that
 /// `done` never runs inside issue(). Single-threaded by design: issue() is
 /// reentered only from this thread's own complete_*() calls.
@@ -83,7 +59,6 @@ class FakeBackend final : public SchedBackend {
  public:
   struct Issued {
     SchedOp op;
-    std::vector<std::byte> spill_payload;  ///< op bytes as handed over
     AioStatus::Source source;
     bool completed = false;
   };
@@ -92,9 +67,6 @@ class FakeBackend final : public SchedBackend {
                                 std::function<void()> done) override {
     Issued rec;
     rec.op = op;
-    if (route_is_spill(op.route)) {
-      rec.spill_payload.assign(op.data, op.data + op.len);
-    }
     rec.source = AioStatus::make_source();
     rec.source.set_on_complete(std::move(done));
     AioStatus status = rec.source.status();
@@ -119,17 +91,14 @@ class FakeBackend final : public SchedBackend {
   std::deque<Issued> issued;
 };
 
-/// Backend + clock + scheduler with coupled lifetime. Declare all data
-/// buffers BEFORE the rig: its destructor completes every outstanding op
-/// (so the scheduler's draining destructor terminates), which scatters into
-/// the segments' destination buffers.
+/// Backend + scheduler with coupled lifetime. Declare all data buffers
+/// BEFORE the rig: its destructor completes every outstanding op, so the
+/// scheduler's draining destructor terminates.
 struct SchedRig {
   FakeBackend backend;
-  TestClock clock;
   TransferScheduler sched;
 
-  explicit SchedRig(TransferScheduler::Config cfg)
-      : sched(backend, cfg, &clock) {}
+  explicit SchedRig(TransferScheduler::Config cfg) : sched(backend, cfg) {}
   ~SchedRig() {
     // Completing an op may make the scheduler issue more; the loop re-reads
     // the size so those are completed too.
@@ -139,11 +108,10 @@ struct SchedRig {
   }
 };
 
-/// One backend request in flight at a time, no coalescing, no rate limits —
-/// the base configuration the ordering tests build on.
+/// One backend request in flight at a time — the base configuration the
+/// ordering tests build on.
 TransferScheduler::Config serial_cfg() {
   TransferScheduler::Config c;
-  c.coalesce = false;
   c.max_inflight = 1;
   return c;
 }
@@ -184,8 +152,10 @@ TEST(MoveSched, LatencyFetchOvertakesQueuedBulkSpill) {
   EXPECT_EQ(s.scheduled, 3u);
   EXPECT_EQ(s.backend_ops, 3u);
   EXPECT_EQ(s.preemptions, 1u);
-  EXPECT_EQ(s.merged_ops, 0u);
   EXPECT_EQ(s.starvation_yields, 0u);
+  EXPECT_EQ(s.coalesced_transfers, 0u);
+  // t1 sat queued across two completions before its issue.
+  EXPECT_GT(s.queue_ns[static_cast<int>(TransferClass::kBulk)], 0u);
 }
 
 TEST(MoveSched, StarvationBoundForcesBulkThrough) {
@@ -231,250 +201,7 @@ TEST(MoveSched, StarvationBoundForcesBulkThrough) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Coalescing: merge on issue, split on completion.
-
-TEST(MoveSched, AdjacentSpillsMergeAndGather) {
-  constexpr std::size_t kSeg = 1024;
-  std::vector<std::vector<std::byte>> src;
-  for (unsigned i = 0; i < 5; ++i) src.push_back(pattern_bytes(kSeg, i));
-
-  TransferScheduler::Config cfg = serial_cfg();
-  cfg.coalesce = true;
-  SchedRig rig(cfg);
-
-  // First spill issues solo (empty queue); the next four, exactly adjacent,
-  // pile up behind it.
-  std::vector<TransferScheduler::Ticket> ts;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    ts.push_back(rig.sched.submit(Route::kNvmeSpill, TransferClass::kBulk,
-                                  i * kSeg, src[i].data(), kSeg));
-  }
-  ASSERT_EQ(rig.backend.issued.size(), 1u);
-  rig.backend.complete_ok(0);
-
-  // The queued run merged into one backend request whose payload is the
-  // gather of the four sources, in offset order.
-  ASSERT_EQ(rig.backend.issued.size(), 2u);
-  const FakeBackend::Issued& merged = rig.backend.issued[1];
-  EXPECT_EQ(merged.op.route, Route::kNvmeSpill);
-  EXPECT_EQ(merged.op.offset, kSeg);
-  EXPECT_EQ(merged.op.len, 4 * kSeg);
-  std::vector<std::byte> want;
-  for (std::size_t i = 1; i < src.size(); ++i) {
-    want.insert(want.end(), src[i].begin(), src[i].end());
-  }
-  EXPECT_EQ(merged.spill_payload, want);
-
-  // One completion finishes all four original tickets.
-  EXPECT_FALSE(ts[1]->done.load());
-  rig.backend.complete_ok(1);
-  for (const auto& t : ts) rig.sched.wait(t);
-
-  const TransferScheduler::Stats s = rig.sched.stats();
-  EXPECT_EQ(s.scheduled, 5u);
-  EXPECT_EQ(s.backend_ops, 2u);
-  EXPECT_EQ(s.merged_ops, 1u);
-  EXPECT_EQ(s.coalesced_transfers, 4u);
-}
-
-TEST(MoveSched, AdjacentFetchesMergeAndScatter) {
-  constexpr std::size_t kSeg = 1024;
-  std::vector<std::vector<std::byte>> dst(5, std::vector<std::byte>(kSeg));
-
-  TransferScheduler::Config cfg = serial_cfg();
-  cfg.coalesce = true;
-  SchedRig rig(cfg);
-
-  std::vector<TransferScheduler::Ticket> ts;
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    ts.push_back(rig.sched.submit(Route::kNvmeFetch, TransferClass::kLatency,
-                                  i * kSeg, dst[i].data(), kSeg));
-  }
-  ASSERT_EQ(rig.backend.issued.size(), 1u);
-  rig.backend.complete_ok(0);
-
-  // Fill the merged request's bounce range as "the device" would, then
-  // complete: the scheduler must scatter each segment to its own buffer.
-  ASSERT_EQ(rig.backend.issued.size(), 2u);
-  const FakeBackend::Issued& merged = rig.backend.issued[1];
-  ASSERT_EQ(merged.op.len, 4 * kSeg);
-  const std::vector<std::byte> disk = pattern_bytes(4 * kSeg, 99);
-  std::copy(disk.begin(), disk.end(), merged.op.data);
-  rig.backend.complete_ok(1);
-  for (const auto& t : ts) rig.sched.wait(t);
-
-  for (std::size_t i = 1; i < dst.size(); ++i) {
-    const std::vector<std::byte> want(disk.begin() + (i - 1) * kSeg,
-                                      disk.begin() + i * kSeg);
-    EXPECT_EQ(dst[i], want) << "segment " << i;
-  }
-  EXPECT_EQ(rig.sched.stats().coalesced_transfers, 4u);
-}
-
-TEST(MoveSched, GapsOverlapsAndRouteChangesNeverMerge) {
-  constexpr std::size_t kSeg = 1024;
-  // Each case: queue two probes behind a blocker, free the slot, and check
-  // the next issue is a solo op (batch of one), not a merge.
-  struct Probe {
-    Route route;
-    std::uint64_t offset;
-  };
-  struct Case {
-    const char* name;
-    Probe a, b;
-  } cases[] = {
-      {"gap", {Route::kNvmeSpill, 0}, {Route::kNvmeSpill, 2 * kSeg}},
-      {"overlap", {Route::kNvmeSpill, 0}, {Route::kNvmeSpill, kSeg / 2}},
-      {"duplicate", {Route::kNvmeSpill, 0}, {Route::kNvmeSpill, 0}},
-      {"cross-route", {Route::kNvmeSpill, 0}, {Route::kNvmeFetch, kSeg}},
-  };
-  for (const Case& c : cases) {
-    std::vector<std::byte> blocker(kSeg), pa(kSeg), pb(kSeg);
-    TransferScheduler::Config cfg = serial_cfg();
-    cfg.coalesce = true;
-    SchedRig rig(cfg);
-
-    const TransferScheduler::Ticket tb = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 1u << 20, blocker.data(),
-        kSeg);
-    const TransferScheduler::Ticket ta = rig.sched.submit(
-        c.a.route, TransferClass::kBulk, c.a.offset, pa.data(), kSeg);
-    const TransferScheduler::Ticket tbb = rig.sched.submit(
-        c.b.route, TransferClass::kBulk, c.b.offset, pb.data(), kSeg);
-    rig.backend.complete_ok(0);
-    ASSERT_EQ(rig.backend.issued.size(), 2u) << c.name;
-    EXPECT_EQ(rig.backend.issued[1].op.len, kSeg) << c.name;
-    EXPECT_EQ(rig.backend.issued[1].op.offset, c.a.offset) << c.name;
-    rig.backend.complete_ok(1);
-    ASSERT_EQ(rig.backend.issued.size(), 3u) << c.name;
-    rig.backend.complete_ok(2);
-    rig.sched.wait(tb);
-    rig.sched.wait(ta);
-    rig.sched.wait(tbb);
-    EXPECT_EQ(rig.sched.stats().merged_ops, 0u) << c.name;
-    EXPECT_EQ(rig.sched.stats().coalesced_transfers, 0u) << c.name;
-  }
-}
-
-TEST(MoveSched, SegmentAndMergeByteCapsBoundTheBatch) {
-  constexpr std::size_t kSeg = 1024;
-  // A transfer above coalesce_segment_bytes never participates.
-  {
-    std::vector<std::byte> blocker(kSeg), big(4 * kSeg), small(kSeg);
-    TransferScheduler::Config cfg = serial_cfg();
-    cfg.coalesce = true;
-    cfg.coalesce_segment_bytes = kSeg;
-    SchedRig rig(cfg);
-    const TransferScheduler::Ticket tb = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 1u << 20, blocker.data(),
-        kSeg);
-    const TransferScheduler::Ticket t0 = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 0, big.data(), big.size());
-    const TransferScheduler::Ticket t1 = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, big.size(), small.data(),
-        small.size());
-    rig.backend.complete_ok(0);
-    ASSERT_EQ(rig.backend.issued.size(), 2u);
-    EXPECT_EQ(rig.backend.issued[1].op.len, big.size());  // solo
-    rig.backend.complete_ok(1);
-    ASSERT_EQ(rig.backend.issued.size(), 3u);
-    rig.backend.complete_ok(2);
-    rig.sched.wait(tb);
-    rig.sched.wait(t0);
-    rig.sched.wait(t1);
-    EXPECT_EQ(rig.sched.stats().merged_ops, 0u);
-  }
-  // max_merge_bytes caps how much one backend request carries.
-  {
-    std::vector<std::byte> blocker(kSeg), s0(kSeg), s1(kSeg), s2(kSeg);
-    TransferScheduler::Config cfg = serial_cfg();
-    cfg.coalesce = true;
-    cfg.coalesce_segment_bytes = kSeg;
-    cfg.max_merge_bytes = 2 * kSeg;
-    SchedRig rig(cfg);
-    const TransferScheduler::Ticket tb = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 1u << 20, blocker.data(),
-        kSeg);
-    const TransferScheduler::Ticket t0 = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 0 * kSeg, s0.data(), kSeg);
-    const TransferScheduler::Ticket t1 = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 1 * kSeg, s1.data(), kSeg);
-    const TransferScheduler::Ticket t2 = rig.sched.submit(
-        Route::kNvmeSpill, TransferClass::kBulk, 2 * kSeg, s2.data(), kSeg);
-    rig.backend.complete_ok(0);
-    ASSERT_EQ(rig.backend.issued.size(), 2u);
-    EXPECT_EQ(rig.backend.issued[1].op.len, 2 * kSeg);  // capped merge
-    rig.backend.complete_ok(1);
-    ASSERT_EQ(rig.backend.issued.size(), 3u);
-    EXPECT_EQ(rig.backend.issued[2].op.len, kSeg);  // the remainder
-    rig.backend.complete_ok(2);
-    rig.sched.wait(tb);
-    rig.sched.wait(t0);
-    rig.sched.wait(t1);
-    rig.sched.wait(t2);
-    const TransferScheduler::Stats s = rig.sched.stats();
-    EXPECT_EQ(s.merged_ops, 1u);
-    EXPECT_EQ(s.coalesced_transfers, 2u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 3. Token buckets under the synthetic clock.
-
-TEST(MoveSched, TokenBucketThrottlesAndRefillsOnSyntheticTime) {
-  constexpr std::size_t kLen = 1000;
-  std::vector<std::byte> s0(kLen), s1(kLen), s2(kLen), f0(kLen);
-
-  TransferScheduler::Config cfg;
-  cfg.coalesce = false;
-  cfg.max_inflight = 8;
-  // 1 byte per nanosecond on the spill route; burst covers exactly one op.
-  cfg.rate_bytes_per_sec[static_cast<int>(Route::kNvmeSpill)] =
-      1'000'000'000ull;
-  cfg.burst_bytes = kLen;
-  SchedRig rig(cfg);
-
-  // Burst pays for the first op; the second rides the >= 0 debt boundary;
-  // the third is throttled.
-  const TransferScheduler::Ticket t0 = rig.sched.submit(
-      Route::kNvmeSpill, TransferClass::kBulk, 0, s0.data(), kLen);
-  const TransferScheduler::Ticket t1 = rig.sched.submit(
-      Route::kNvmeSpill, TransferClass::kBulk, 4096, s1.data(), kLen);
-  const TransferScheduler::Ticket t2 = rig.sched.submit(
-      Route::kNvmeSpill, TransferClass::kBulk, 8192, s2.data(), kLen);
-  EXPECT_EQ(rig.backend.issued.size(), 2u);
-
-  // The unlimited fetch route is unaffected by spill debt.
-  const TransferScheduler::Ticket tf = rig.sched.submit(
-      Route::kNvmeFetch, TransferClass::kLatency, 1u << 20, f0.data(), kLen);
-  EXPECT_EQ(rig.backend.issued.size(), 3u);
-
-  // kick() without time passing changes nothing; one nanosecond short of
-  // the refill still throttles; the exact refill releases the op.
-  rig.sched.kick();
-  EXPECT_EQ(rig.backend.issued.size(), 3u);
-  rig.clock.advance(kLen - 1);
-  rig.sched.kick();
-  EXPECT_EQ(rig.backend.issued.size(), 3u);
-  rig.clock.advance(1);
-  rig.sched.kick();
-  ASSERT_EQ(rig.backend.issued.size(), 4u);
-  EXPECT_EQ(rig.backend.issued[3].op.offset, 8192u);
-
-  for (std::size_t i = 0; i < rig.backend.issued.size(); ++i) {
-    rig.backend.complete_ok(i);
-  }
-  rig.sched.wait(t0);
-  rig.sched.wait(t1);
-  rig.sched.wait(t2);
-  rig.sched.wait(tf);
-
-  // Queue-wait accounting in synthetic time: only the throttled op waited,
-  // and it waited exactly the refill interval.
-  const TransferScheduler::Stats s = rig.sched.stats();
-  EXPECT_EQ(s.queue_ns[static_cast<int>(TransferClass::kBulk)], kLen);
-  EXPECT_EQ(s.queue_ns[static_cast<int>(TransferClass::kLatency)], 0u);
-}
+// 2. Zero-length transfers.
 
 TEST(MoveSched, ZeroLengthTransfersCompleteWithoutBackend) {
   SchedRig rig(serial_cfg());
@@ -487,8 +214,9 @@ TEST(MoveSched, ZeroLengthTransfersCompleteWithoutBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Real-I/O accounting: bytes/transfers per original handle, exactly once,
-//    independent of coalescing. (Pins the note_issue/note_seconds audit.)
+// 3. Faults through a real DataMover + NvmeStore. num_workers=1 makes AIO
+//    sub-requests execute in submission order, so ordinal-addressed fault
+//    rules pick deterministic victims.
 
 class MoveSchedIoTest : public ::testing::Test {
  protected:
@@ -506,156 +234,31 @@ class MoveSchedIoTest : public ::testing::Test {
   fs::path dir_;
 };
 
-/// Rate=1 B/s with zero burst lets exactly one op through on the debt
-/// boundary and queues the rest (a refill would take seconds); drain() then
-/// bypasses the bucket and issues the queued run — merged when coalescing
-/// is on. Deterministic without any clock control.
-TransferScheduler::Config throttled_cfg(Route r, bool coalesce) {
-  TransferScheduler::Config cfg;
-  cfg.coalesce = coalesce;
-  cfg.rate_bytes_per_sec[static_cast<int>(r)] = 1;
-  cfg.burst_bytes = 0;
-  return cfg;
-}
-
-TEST_F(MoveSchedIoTest, CoalescedSpillsAccountPerHandleExactlyOnce) {
-  constexpr std::size_t kSeg = 4096;
-  constexpr std::size_t kN = 8;
-  std::vector<std::vector<std::byte>> src;
-  for (unsigned i = 0; i < kN; ++i) src.push_back(pattern_bytes(kSeg, i));
-
-  auto run = [&](bool coalesce) {
-    AioEngine aio;
-    NvmeStore store(aio, dir_ / (coalesce ? "on.bin" : "off.bin"), 1 << 20);
-    PinnedBufferPool pool(kSeg, 2);
-    DataMover mover(store, pool,
-                    throttled_cfg(Route::kNvmeSpill, coalesce));
-    Extent e = store.allocate(kN * kSeg);
-
-    std::vector<TransferHandle> hs;
-    for (std::size_t i = 0; i < kN; ++i) {
-      hs.push_back(mover.spill_nvme(e, src[i], i * kSeg));
-    }
-    mover.sched().drain();
-    for (TransferHandle& h : hs) {
-      h.wait();
-      EXPECT_TRUE(h.ok());
-    }
-
-    const DataMover::Stats s1 = mover.stats();
-    // Per-original-handle accounting: every spill counted once, no matter
-    // how many backend requests actually carried the bytes.
-    EXPECT_EQ(s1.route(Route::kNvmeSpill).transfers, kN);
-    EXPECT_EQ(s1.route(Route::kNvmeSpill).bytes, kN * kSeg);
-    EXPECT_EQ(s1.sched.scheduled, kN);
-    if (coalesce) {
-      // One solo op on the debt boundary + one merged op from drain().
-      EXPECT_EQ(s1.sched.backend_ops, 2u);
-      EXPECT_EQ(s1.sched.merged_ops, 1u);
-      EXPECT_EQ(s1.sched.coalesced_transfers, kN - 1);
-      EXPECT_EQ(aio.stats().requests, 2u);
-    } else {
-      EXPECT_EQ(s1.sched.backend_ops, kN);
-      EXPECT_EQ(s1.sched.merged_ops, 0u);
-      EXPECT_EQ(aio.stats().requests, kN);
-    }
-
-    // A second wait() must not double-count anything.
-    hs[0].wait();
-    const DataMover::Stats s2 = mover.stats();
-    EXPECT_EQ(s2.route(Route::kNvmeSpill).transfers, kN);
-    EXPECT_EQ(s2.route(Route::kNvmeSpill).bytes, kN * kSeg);
-    EXPECT_EQ(s2.route(Route::kNvmeSpill).seconds,
-              s1.route(Route::kNvmeSpill).seconds);
-
-    // What landed on "disk" is the same bytes the handles promised.
-    std::vector<std::byte> back(kN * kSeg);
-    mover.fetch_nvme_sync(e, back);
-    return back;
-  };
-
-  const std::vector<std::byte> with = run(/*coalesce=*/true);
-  const std::vector<std::byte> without = run(/*coalesce=*/false);
-  EXPECT_EQ(with, without);
-  std::vector<std::byte> want;
-  for (const auto& s : src) want.insert(want.end(), s.begin(), s.end());
-  EXPECT_EQ(with, want);
-}
-
-// ---------------------------------------------------------------------------
-// 5. Fault injection through merged requests (the split-on-partial-failure
-//    path). num_workers=1 makes AIO sub-requests execute in submission
-//    order, so ordinal-addressed fault rules pick deterministic victims.
-
-TEST_F(MoveSchedIoTest, MergedFetchFailureFallsBackPerSegment) {
-  constexpr std::size_t kSeg = 4096;
-  constexpr std::size_t kN = 8;
-
-  AioConfig acfg;
-  acfg.num_workers = 1;
-  acfg.max_retries = 0;  // surface injected errors instead of masking them
-  AioEngine aio(acfg);
-  NvmeStore store(aio, dir_ / "faults.bin", 1 << 20);
-  PinnedBufferPool pool(kSeg, 2);
-  DataMover mover(store, pool, throttled_cfg(Route::kNvmeFetch, true));
-  Extent e = store.allocate(kN * kSeg);
-
-  std::vector<std::vector<std::byte>> src;
-  for (unsigned i = 0; i < kN; ++i) src.push_back(pattern_bytes(kSeg, i));
-  for (std::size_t i = 0; i < kN; ++i) {
-    TransferHandle h = mover.spill_nvme(e, src[i], i * kSeg);
-    h.wait();  // spill route is unthrottled here; no faults configured yet
-  }
-
-  // aio_read ordinals: #0 the solo first fetch, #1 the merged request from
-  // drain(), #2.. the per-segment fallback re-issues. `after=1,count=1`
-  // fails exactly the merged request; every fallback succeeds.
-  FaultInjector::instance().configure("seed=3;aio_read:error,after=1,count=1");
-  std::vector<std::vector<std::byte>> dst(kN, std::vector<std::byte>(kSeg));
-  std::vector<TransferHandle> hs;
-  for (std::size_t i = 0; i < kN; ++i) {
-    hs.push_back(mover.fetch_nvme(e, dst[i], i * kSeg));
-  }
-  mover.sched().drain();
-  for (std::size_t i = 0; i < kN; ++i) {
-    hs[i].wait();
-    EXPECT_TRUE(hs[i].ok()) << "handle " << i;
-    EXPECT_EQ(dst[i], src[i]) << "handle " << i;
-  }
-
-  const TransferScheduler::Stats s = mover.sched().stats();
-  EXPECT_EQ(s.merged_ops, 1u);
-  EXPECT_EQ(s.coalesced_transfers, kN - 1);
-  EXPECT_EQ(s.fallback_ops, kN - 1);
-}
-
-TEST_F(MoveSchedIoTest, FallbackFailuresHitExactlyTheDrawnHandles) {
+TEST_F(MoveSchedIoTest, FetchFailuresHitExactlyTheDrawnHandles) {
   constexpr std::size_t kSeg = 4096;
   constexpr std::size_t kN = 8;
 
   std::vector<std::vector<std::byte>> src;
   for (unsigned i = 0; i < kN; ++i) src.push_back(pattern_bytes(kSeg, i));
 
-  // Runs the merged-then-split fetch under `after=1,count=3`: ordinal #1
-  // (the merged request) plus ordinals #2 and #3 (the first two fallback
-  // segments) fail. Returns each handle's error_code.
+  // Runs kN fetches under `after=1,count=2`: aio_read ordinals #1 and #2
+  // fail. Returns each handle's error_code.
   auto run = [&](const fs::path& file) {
     AioConfig acfg;
     acfg.num_workers = 1;
-    acfg.max_retries = 0;
+    acfg.max_retries = 0;  // surface injected errors instead of masking them
     AioEngine aio(acfg);
     NvmeStore store(aio, file, 1 << 20);
     PinnedBufferPool pool(kSeg, 2);
-    DataMover mover(store, pool, throttled_cfg(Route::kNvmeFetch, true));
+    DataMover mover(store, pool);
     Extent e = store.allocate(kN * kSeg);
     for (std::size_t i = 0; i < kN; ++i) {
-      TransferHandle h = mover.spill_nvme(e, src[i], i * kSeg);
-      h.wait();
+      mover.spill_nvme_sync(e, src[i], i * kSeg);
     }
 
     FaultInjector::instance().clear();
     FaultInjector::instance().configure(
-        "seed=3;aio_read:error,after=1,count=3");
+        "seed=3;aio_read:error,after=1,count=2");
     std::vector<std::vector<std::byte>> dst(kN,
                                             std::vector<std::byte>(kSeg));
     std::vector<TransferHandle> hs;
@@ -682,13 +285,12 @@ TEST_F(MoveSchedIoTest, FallbackFailuresHitExactlyTheDrawnHandles) {
         EXPECT_EQ(dst[i], src[i]) << "handle " << i;
       }
     }
+    EXPECT_EQ(mover.sched().stats().backend_ops, 2 * kN);
     FaultInjector::instance().clear();
     return errors;
   };
 
   const std::vector<int> first = run(dir_ / "a.bin");
-  // The failures are the merged request's first two segments — handles 1
-  // and 2 (handle 0 went out solo on the debt boundary) — and nothing else.
   std::vector<int> nonzero;
   for (std::size_t i = 0; i < first.size(); ++i) {
     if (first[i] != 0) nonzero.push_back(static_cast<int>(i));
@@ -700,21 +302,20 @@ TEST_F(MoveSchedIoTest, FallbackFailuresHitExactlyTheDrawnHandles) {
   EXPECT_EQ(first, second);
 }
 
-TEST_F(MoveSchedIoTest, ShortReadsUnderCoalescingStayBitExact) {
+TEST_F(MoveSchedIoTest, ShortReadsStayBitExact) {
   constexpr std::size_t kSeg = 4096;
   constexpr std::size_t kN = 6;
 
   AioEngine aio;  // default retries: shorts are resumed, not failed
   NvmeStore store(aio, dir_ / "short.bin", 1 << 20);
   PinnedBufferPool pool(kSeg, 2);
-  DataMover mover(store, pool, throttled_cfg(Route::kNvmeFetch, true));
+  DataMover mover(store, pool);
   Extent e = store.allocate(kN * kSeg);
 
   std::vector<std::vector<std::byte>> src;
   for (unsigned i = 0; i < kN; ++i) src.push_back(pattern_bytes(kSeg, i));
   for (std::size_t i = 0; i < kN; ++i) {
-    TransferHandle h = mover.spill_nvme(e, src[i], i * kSeg);
-    h.wait();
+    mover.spill_nvme_sync(e, src[i], i * kSeg);
   }
 
   FaultInjector::instance().configure("seed=5;aio_read:short,p=1");
@@ -729,14 +330,13 @@ TEST_F(MoveSchedIoTest, ShortReadsUnderCoalescingStayBitExact) {
     EXPECT_TRUE(hs[i].ok());
     EXPECT_EQ(dst[i], src[i]) << "handle " << i;
   }
-  EXPECT_GE(mover.sched().stats().merged_ops, 1u);
-  EXPECT_EQ(mover.sched().stats().fallback_ops, 0u);  // shorts never fail
+  EXPECT_GT(FaultInjector::instance().stats(FaultSite::kAioRead).shorts, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// 6. Concurrency: many producers mixing classes while a kicker hammers the
-//    lock paths. Run under TSan via the `concurrency` ctest label;
-//    correctness signal is per-thread roundtrip bit-exactness.
+// 4. Concurrency: many producers mixing classes while a reader polls the
+//    stats. Run under TSan via the `concurrency` ctest label; correctness
+//    signal is per-thread roundtrip bit-exactness.
 
 TEST_F(MoveSchedIoTest, ConcurrentMixedProducersRoundtripBitExact) {
   constexpr int kThreads = 4;
@@ -747,18 +347,15 @@ TEST_F(MoveSchedIoTest, ConcurrentMixedProducersRoundtripBitExact) {
   NvmeStore store(aio, dir_ / "stress.bin", 8 << 20);
   PinnedBufferPool pool(1 << 16, 4);
   TransferScheduler::Config cfg;
-  cfg.max_inflight = 2;  // force queueing so priorities/coalescing engage
+  cfg.max_inflight = 2;  // force queueing so the priority classes engage
   DataMover mover(store, pool, cfg);
 
   std::vector<Extent> extents;
   for (int t = 0; t < kThreads; ++t) extents.push_back(store.allocate(kSeg));
 
   std::atomic<bool> stop{false};
-  std::thread kicker([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      mover.sched().kick();
-      (void)mover.stats();
-    }
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_relaxed)) (void)mover.stats();
   });
 
   std::vector<std::thread> producers;
@@ -781,7 +378,7 @@ TEST_F(MoveSchedIoTest, ConcurrentMixedProducersRoundtripBitExact) {
   }
   for (std::thread& p : producers) p.join();
   stop.store(true, std::memory_order_relaxed);
-  kicker.join();
+  poller.join();
   mover.sched().drain();
 
   const DataMover::Stats s = mover.stats();

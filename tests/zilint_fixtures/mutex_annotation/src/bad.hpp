@@ -10,7 +10,7 @@ class Unannotated {
   void poke();
 
  private:
-  zi::Mutex mutex_{"fixture::Unannotated"};  // finding: never annotated
+  zi::Mutex mutex_;  // finding: never annotated
   int counter_ = 0;
 };
 

@@ -9,7 +9,7 @@ class Annotated {
   void poke() ZI_EXCLUDES(mutex_);
 
  private:
-  zi::Mutex mutex_{"fixture::Annotated"};
+  zi::Mutex mutex_;
   int counter_ ZI_GUARDED_BY(mutex_) = 0;
 };
 

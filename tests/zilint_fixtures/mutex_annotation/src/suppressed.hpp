@@ -8,7 +8,7 @@ namespace fixture {
 class Suppressed {
  private:
   // zilint:allow(mutex-annotation): guards an external resource, no member
-  zi::Mutex mutex_{"fixture::Suppressed"};
+  zi::Mutex mutex_;
 };
 
 }  // namespace fixture

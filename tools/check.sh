@@ -200,8 +200,9 @@ for step in "${STEPS[@]}"; do
     kernels) run_kernels ;;
     bench)  run_bench ;;
     # TSan: the concurrency-labeled subset (comm / aio / thread pool /
-    # stress / lock tracker) — the full suite under TSan takes too long for
-    # a pre-commit loop; CI runs the same subset.
+    # scheduler / stress), with its deadlock detector as the lock-order
+    # check — the full suite under TSan takes too long for a pre-commit
+    # loop; CI runs the same subset.
     tsan)   run_build tsan thread concurrency ;;
     asan)   run_build asan address "" ;;
     ubsan)  run_build ubsan undefined "" ;;

@@ -398,19 +398,12 @@ std::vector<std::string> ident_tokens(const std::string& s) {
 // ---------------------------------------------------------------------------
 // Rule: raw-primitive
 
-// The layer that must sit *below* zi::Mutex: the shim itself, the lock
-// tracker it calls into, and the observability/fault singletons that
-// zi::Mutex and its users may re-enter (tracing a lock from inside a lock).
-// This whitelist is part of the tool — extending it is a reviewed change,
-// not a suppression.
+// The one file allowed raw primitives: the shim that wraps them. This
+// whitelist is part of the tool — extending it is a reviewed change, not a
+// suppression.
 const std::set<std::string>& raw_primitive_whitelist() {
   static const std::set<std::string> kWhitelist = {
       "src/common/thread_annotations.hpp",
-      "src/common/lock_tracker.hpp",
-      "src/common/lock_tracker.cpp",
-      "src/obs/trace.cpp",
-      "src/obs/metrics.cpp",
-      "src/testing/fault_injector.cpp",
   };
   return kWhitelist;
 }
@@ -469,12 +462,8 @@ void rule_mutex_annotation(const Project& p, std::vector<Finding>& findings) {
   static const std::regex kDecl(
       R"((?:^|[;{}\s])(?:mutable\s+)?(?:zi::)?Mutex\s+([A-Za-z_]\w*)\s*[{;=])");
   for (const auto& f : p.src) {
-    // The shim layer defines the Mutex class itself.
-    if (f.path == "src/common/thread_annotations.hpp" ||
-        f.path == "src/common/lock_tracker.hpp" ||
-        f.path == "src/common/lock_tracker.cpp") {
-      continue;
-    }
+    // The shim defines the Mutex class itself.
+    if (f.path == "src/common/thread_annotations.hpp") continue;
     const auto& unit_args = args_by_unit[unit_key(f.path)];
     for (std::size_t i = 0; i < f.code.size(); ++i) {
       for (auto it =

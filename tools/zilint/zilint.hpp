@@ -10,10 +10,9 @@
 // Rules (names are what `// zilint:allow(<rule>)` takes):
 //
 //   raw-primitive      std::mutex / std::lock_guard / std::condition_variable
-//                      and friends outside the whitelisted shim layer (the
-//                      files that must sit *below* zi::Mutex to avoid
-//                      lock-tracker recursion). Everything else uses the
-//                      annotated zi:: shims from common/thread_annotations.hpp.
+//                      and friends anywhere in src/ except the shim that
+//                      wraps them (common/thread_annotations.hpp). Everything
+//                      else uses the annotated zi:: shims.
 //   mutex-annotation   every zi::Mutex declaration in src/ must be referenced
 //                      by at least one ZI_GUARDED_BY / ZI_REQUIRES / ... in
 //                      the same translation unit — catches exactly the
