@@ -79,11 +79,51 @@ BENCHMARK(BM_GemmNT)
     ->Args({8, 128, 256})
     ->Args({1, 32, 64});
 
+// An fp16 weight (a gathered parameter) as the B operand, at decode
+// batches 1, 8 and 16 and the training batch 64: the kernel widening each
+// strip while packing it (BM_GemmHalfB) against a full widening pass
+// followed by the fp32 kernel (BM_GemmWidenThenF32), the path the gather
+// used to take. Shapes: fc1 (k 128, n 512) and fc2 (k 512, n 128).
+void run_half_b(benchmark::State& state, bool widen_first) {
+  const i64 m = state.range(0), k = state.range(1), n = state.range(2);
+  const auto a = randn(static_cast<std::size_t>(m * k));
+  std::vector<half> b(static_cast<std::size_t>(k * n));
+  floats_to_halves(randn(b.size()), b);
+  std::vector<float> wide(b.size());
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    if (widen_first) {
+      halves_to_floats(b, wide);
+      gemm(a.data(), wide.data(), c.data(), m, k, n);
+    } else {
+      gemm(a.data(), b.data(), c.data(), m, k, n);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * n / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void half_b_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "k", "n"});
+  for (const i64 m : {1, 8, 16, 64}) {
+    b->Args({m, 128, 512});
+    b->Args({m, 512, 128});
+  }
+}
+
+void BM_GemmHalfB(benchmark::State& state) { run_half_b(state, false); }
+BENCHMARK(BM_GemmHalfB)->Apply(half_b_shapes);
+
+void BM_GemmWidenThenF32(benchmark::State& state) { run_half_b(state, true); }
+BENCHMARK(BM_GemmWidenThenF32)->Apply(half_b_shapes);
+
 void BM_LayerNorm(benchmark::State& state) {
   const i64 rows = 256, dim = state.range(0);
   const auto x = randn(static_cast<std::size_t>(rows * dim));
-  std::vector<float> gamma(static_cast<std::size_t>(dim), 1.0f);
-  std::vector<float> beta(static_cast<std::size_t>(dim), 0.0f);
+  std::vector<half> gamma(static_cast<std::size_t>(dim), half(1.0f));
+  std::vector<half> beta(static_cast<std::size_t>(dim), half(0.0f));
   std::vector<float> y(x.size()), mean(static_cast<std::size_t>(rows)),
       rstd(static_cast<std::size_t>(rows));
   for (auto _ : state) {

@@ -11,13 +11,13 @@
 #include "core/trainer.hpp"
 #include "data/tokenizer.hpp"
 #include "model/gpt.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 
 int main(int argc, char** argv) {
   const int steps = argc > 1 ? std::atoi(argv[1]) : 150;
-  const auto dir = std::filesystem::temp_directory_path() / "zi_char_lm";
-  std::filesystem::create_directories(dir);
+  const ScratchDir dir("zi_char_lm");
 
   // The corpus: a sentence the model will memorize.
   const std::string sentence =
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   TokenDataset data(tok.encode(corpus), mc.seq);
 
   EngineConfig cfg = preset_zero_infinity_nvme();
-  cfg.nvme_dir = (dir / "swap").string();
+  cfg.nvme_dir = (dir.path / "swap").string();
   cfg.loss_scale.init_scale = 1024.0f;
   cfg.persistence_threshold_elems = mc.hidden;  // keep LN params gathered
 
@@ -76,6 +76,5 @@ int main(int argc, char** argv) {
     }
     comm.barrier();
   });
-  std::filesystem::remove_all(dir);
   return 0;
 }

@@ -20,6 +20,7 @@
 #include "sim/memory_model.hpp"
 #include "sim/report.hpp"
 #include "sim/timeline.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 using zi::sim::Table;
@@ -82,8 +83,8 @@ void real_finetune_demo() {
   mc.layers = 2;
   mc.heads = 4;
   EngineConfig cfg = preset_zero_infinity_cpu();
-  cfg.nvme_dir =
-      (std::filesystem::temp_directory_path() / "zi_finetune").string();
+  const ScratchDir nvme("zi_finetune");
+  cfg.nvme_dir = nvme.path.string();
   cfg.adam.lr = 5e-3f;
   cfg.loss_scale.init_scale = 1024.0f;
 
@@ -117,7 +118,6 @@ void real_finetune_demo() {
       std::cout << "memory   : " << engine.memory_summary() << "\n";
     }
   });
-  std::filesystem::remove_all(cfg.nvme_dir);
 }
 
 }  // namespace

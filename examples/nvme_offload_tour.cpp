@@ -18,6 +18,7 @@
 #include "common/units.hpp"
 #include "mem/pinned_pool.hpp"
 #include "optim/adam.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 namespace fs = std::filesystem;
@@ -196,14 +197,12 @@ void tour_chunked_optimizer(const fs::path& dir) {
 }  // namespace
 
 int main() {
-  const fs::path dir =
-      fs::temp_directory_path() / ("zi_tour_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
+  const ScratchDir scratch("zi_tour");
+  const fs::path& dir = scratch.path;
   std::cout << "=== infinity offload engine tour ===\n\n";
   tour_engine(dir);
   tour_pinned_pool();
   tour_nvme_store(dir);
   tour_chunked_optimizer(dir);
-  fs::remove_all(dir);
   return 0;
 }

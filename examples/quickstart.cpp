@@ -14,6 +14,7 @@
 
 #include "core/engine.hpp"
 #include "model/gpt.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 
@@ -33,7 +34,8 @@ int main(int argc, char** argv) {
   //    shards and optimizer state live in swap files, activation
   //    checkpoints in CPU memory; the GPU arena holds only working tensors.
   EngineConfig cfg = preset_zero_infinity_nvme();
-  cfg.nvme_dir = (std::filesystem::temp_directory_path() / "zi_quickstart").string();
+  const ScratchDir nvme("zi_quickstart");
+  cfg.nvme_dir = nvme.path.string();
   cfg.adam.lr = 5e-3f;
   cfg.loss_scale.init_scale = 1024.0f;
 
@@ -66,6 +68,5 @@ int main(int argc, char** argv) {
                 << " gradient reduce-scatters\n";
     }
   });
-  std::filesystem::remove_all(cfg.nvme_dir);
   return 0;
 }

@@ -21,14 +21,15 @@
 #include "core/threed_engine.hpp"
 #include "model/gpt.hpp"
 #include "sim/report.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 using zi::sim::Table;
 using zi::sim::print_banner;
 
 int main() {
-  const auto dir = std::filesystem::temp_directory_path() / "zi_3d_vs_zero";
-  std::filesystem::create_directories(dir);
+  const ScratchDir scratch("zi_3d_vs_zero");
+  const std::filesystem::path& dir = scratch.path;
 
   GptConfig mc;
   mc.vocab = 64;
@@ -118,6 +119,5 @@ int main() {
                "is the middle columns: ZeRO-Infinity needed neither a grid "
                "nor a rewritten model, and its GPU footprint is transient "
                "working memory only.)\n";
-  std::filesystem::remove_all(dir);
   return 0;
 }

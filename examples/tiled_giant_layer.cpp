@@ -2,9 +2,9 @@
 // (Sec. 5.1.3 / Fig. 6b) — on the REAL training engine.
 //
 // The GPU arena is pre-fragmented so that no contiguous allocation larger
-// than CHUNK succeeds. The untiled model needs one contiguous fp32 buffer
-// per gathered MLP weight that exceeds CHUNK, so ZeRO-3 training fails
-// with a contiguity OOM. The same model with a tiling factor of 4 gathers
+// than CHUNK succeeds. The untiled model needs one contiguous fp32
+// gradient buffer per MLP weight that exceeds CHUNK, so ZeRO-3 training
+// fails with a contiguity OOM. The same model with a tiling factor of 4 gathers
 // one tile at a time and trains normally — no model-parallel rewrite, just
 // a factory swap (the ease-of-use contract).
 #include <filesystem>
@@ -13,6 +13,7 @@
 #include "core/engine.hpp"
 #include "model/gpt.hpp"
 #include "core/tiling.hpp"
+#include "scratch_dir.hpp"
 
 using namespace zi;
 namespace fs = std::filesystem;
@@ -24,7 +25,7 @@ float try_training(int tiling_factor, const fs::path& dir, bool& oomed,
   GptConfig mc;
   mc.vocab = 64;
   mc.seq = 8;
-  mc.hidden = 64;  // fc1 gathers 64x256 fp32 = 64 KiB — our "giant" layer
+  mc.hidden = 64;  // fc1's 64x256 fp32 gradient = 64 KiB: our "giant" layer
   mc.layers = 1;
   mc.heads = 4;
   if (tiling_factor > 1) {
@@ -34,9 +35,9 @@ float try_training(int tiling_factor, const fs::path& dir, bool& oomed,
   EngineConfig cfg = preset_zero_infinity_cpu();
   cfg.nvme_dir = dir.string();
   cfg.gpu_arena_bytes = 4 * kMiB;
-  // Pre-fragment: no contiguous block over 52 KiB (the fc1 weight needs
+  // Pre-fragment: no contiguous block over 52 KiB (the fc1 gradient needs
   // 64 KiB untiled, 16 KiB per tile at factor 4; the largest non-MLP
-  // tensor — the 48 KiB QKV weight — still fits with alignment slack).
+  // tensor — the 48 KiB QKV gradient — still fits with alignment slack).
   cfg.gpu_prefragment_chunk = 52 * kKiB;
   cfg.loss_scale.init_scale = 1024.0f;
 
@@ -67,14 +68,13 @@ float try_training(int tiling_factor, const fs::path& dir, bool& oomed,
 }  // namespace
 
 int main() {
-  const fs::path dir =
-      fs::temp_directory_path() / ("zi_tiled_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
+  const ScratchDir scratch("zi_tiled");
+  const fs::path& dir = scratch.path;
 
   std::cout << "=== memory-centric tiling on a fragmented GPU arena ===\n\n";
   std::cout << "arena: 4 MiB, pre-fragmented into 52 KiB chunks\n";
-  std::cout << "model: 1-layer GPT, hidden 64 — fc1 gathers a 64 KiB fp32 "
-               "weight\n\n";
+  std::cout << "model: 1-layer GPT, hidden 64 — fc1 accumulates a 64 KiB "
+               "fp32 gradient\n\n";
 
   bool oomed = false;
   std::string error;
@@ -94,6 +94,5 @@ int main() {
   } else {
     std::cout << "tiling x4: FAILED —\n  " << error << "\n";
   }
-  fs::remove_all(dir);
   return 0;
 }

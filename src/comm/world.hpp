@@ -468,7 +468,8 @@ class Communicator {
 
   /// Each rank contributes `send`; every rank receives the concatenation
   /// [rank 0 | rank 1 | ...] in `recv`. All contributions are equal-sized;
-  /// recv.size() == send.size() * size().
+  /// recv.size() == send.size() * size(). `send` may be this rank's own
+  /// slot of `recv` (in place).
   template <typename T>
   void allgather(std::span<const T> send, std::span<T> recv);
 
@@ -662,8 +663,11 @@ void Communicator::allgather(std::span<const T> send, std::span<T> recv) {
   for (std::size_t r = 0; r < n; ++r) {
     ZI_CHECK_MSG(t.peer_count(r) == send.size(),
                  "allgather: unequal send sizes");
-    std::memcpy(recv.data() + r * send.size(),
-                t.peer_data(static_cast<int>(r)), send.size_bytes());
+    T* dst = recv.data() + r * send.size();
+    const void* src = t.peer_data(static_cast<int>(r));
+    // In place: this rank's send already is its slot, and peers may be
+    // reading it.
+    if (src != dst) std::memcpy(dst, src, send.size_bytes());
   }
   sync_point("allgather");  // all reads done; send buffers reusable
 }

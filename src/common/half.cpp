@@ -202,6 +202,13 @@ void floats_to_halves(std::span<const float> src, std::span<half> dst) {
               (n - full) * sizeof(half));
 }
 
+void halves_to_floats8_strided(const half* src, std::size_t stride,
+                               std::size_t rows, float* dst) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    halves_to_floats8(src + r * stride, dst + r * kLanes);
+  }
+}
+
 bool all_finite(std::span<const half> src) noexcept {
   const std::size_t n = src.size();
   const std::size_t full = n - n % kLanes;

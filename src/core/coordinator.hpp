@@ -4,10 +4,10 @@
 //
 // Installed as module hooks on the model tree:
 //   * pre-forward / pre-backward: gather the module's parameters — load the
-//     local fp16 shard from its tier (GPU/CPU/NVMe), allgather across
-//     ranks, and materialize the full fp32 compute tensor in the rank's
-//     GPU arena. Before backward it also allocates the full fp32 gradient
-//     buffer in the arena.
+//     local fp16 shard from its tier (GPU/CPU/NVMe) and allgather across
+//     ranks straight into one fp16 block of the rank's GPU arena, which is
+//     the full compute tensor. Before backward it also allocates the full
+//     fp32 gradient buffer in the arena.
 //   * post-forward: re-partition (free the full tensor; the shard stays on
 //     its tier untouched).
 //   * post-backward: reduce-scatter the gradient into this rank's fp16

@@ -24,9 +24,11 @@ MegatronEngine::MegatronEngine(TrainableModel& model, Communicator& world,
       "gpu[" + std::to_string(world.rank()) + "]", config_.gpu_arena_bytes,
       DeviceArena::Mode::kReal);
   local_store_ = std::make_unique<LocalParamStore>(model_.module());
-  // Replicated local model states: fp16 params (2 B) + fp32 compute copy
-  // (4) + fp32 grads (4) + fp32 momentum/variance (8) per element. This is
-  // the footprint that caps 3D parallelism at aggregate-GPU scale.
+  // Replicated local model states: fp16 params (2 B, also the compute
+  // operand) + fp32 grads (4) + fp32 momentum/variance (8) per element,
+  // plus 4 B for the former fp32 compute copy, kept because the pipeline
+  // capacity tests are sized with it. This is the footprint that caps 3D
+  // parallelism at aggregate-GPU scale.
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(local_store_->total_numel()) *
       (2 + 4 + 4 + 8);
@@ -35,8 +37,8 @@ MegatronEngine::MegatronEngine(TrainableModel& model, Communicator& world,
   for (Parameter* p : local_store_->params()) {
     // Master weights start from the fp16-rounded initialization (matching
     // the ZeRO engines) and keep full fp32 precision thereafter.
-    const float* full = p->full_tensor().data<float>();
-    master_.emplace_back(full, full + p->numel());
+    master_.emplace_back(static_cast<std::size_t>(p->numel()));
+    halves_to_floats(local_store_->fp16(p).span<half>(), master_.back());
     momentum_.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
     variance_.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
   }
@@ -79,7 +81,6 @@ MegatronEngine::StepStats MegatronEngine::train_step(
                     variance_[k], grad16[k],
                     local_store_->fp16(params[k]).span<half>(), cur_scale);
   }
-  local_store_->refresh_full_from_fp16();
   return st;
 }
 

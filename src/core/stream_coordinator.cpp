@@ -78,7 +78,7 @@ void StreamCoordinator::begin_iteration() {
 void StreamCoordinator::end_iteration() {
   ZI_CHECK_MSG(!reuse_window_, "end_iteration inside a reuse window");
   // Training: persistent parameters survived the per-module releases; the
-  // optimizer has just rewritten their shards, so the gathered fp32 copies
+  // optimizer has just rewritten their shards, so the gathered copies
   // are stale and must be re-partitioned before the next gather. Serving:
   // weights are immutable — non-force release leaves them resident.
   const bool force = mode_ == Mode::kTraining;
@@ -162,59 +162,59 @@ void StreamCoordinator::fetch(Parameter* p, bool for_backward) {
   const bool timed = MetricsSink::enabled();
   const auto fetch_t0 = timed ? Clock::now() : Clock::time_point{};
 
+  // The gathered parameter is one GPU arena block of the padded fp16 size
+  // (the cg-transfer target). It is the compute tensor itself: the kernels
+  // widen it as they read it. This is where "GPU" capacity pressure is
+  // enforced.
+  const ShardSpec& spec = store_.param_spec(p);
+  ArenaBlock block = res_.gpu().allocate(
+      static_cast<std::uint64_t>(spec.padded_numel()) * sizeof(half));
+  const std::span<half> full(reinterpret_cast<half*>(block.data()),
+                             static_cast<std::size_t>(spec.padded_numel()));
   // Materialize the full fp16 values: bandwidth-centric allgather (every
   // rank's link carries 1/dp in parallel, Sec. 6.1) or the broadcast
   // baseline (the owner's link carries everything — the ZeRO/ZeRO-Offload
   // data path the paper contrasts against).
-  std::vector<half> padded;
   if (store_.broadcast_mode()) {
-    padded.resize(static_cast<std::size_t>(p->numel()));
+    const std::span<half> values =
+        full.first(static_cast<std::size_t>(p->numel()));
     if (comm_.rank() == store_.param_owner(p)) {
       // Only the owner ever stages a prefetch in broadcast mode (see the
       // suppression in issue_prefetches), so only the owner consumes one.
       if (std::optional<PrefetchSlot> staged = take_prefetch(p->id())) {
-        std::copy(staged->view.begin(), staged->view.end(), padded.begin());
+        std::copy(staged->view.begin(), staged->view.end(), values.begin());
       } else {
-        store_.load_param_full(p, padded);
+        store_.load_param_full(p, values);
       }
     }
-    comm_.broadcast<half>(padded, store_.param_owner(p));
-    stats_.broadcast_fp16_elems += padded.size();
+    comm_.broadcast<half>(values, store_.param_owner(p));
+    stats_.broadcast_fp16_elems += values.size();
   } else {
-    const ShardSpec& spec = store_.param_spec(p);
     const auto shard_n = static_cast<std::size_t>(spec.shard_elems);
     // 1. Local shard: consume the prefetched copy if one is in flight
     //    (`staged` keeps the staging buffer alive through the allgather),
     //    else load synchronously from the parameter's tier (the
-    //    nc-transfer).
+    //    nc-transfer) into this rank's own slot of the block.
     std::optional<PrefetchSlot> staged = take_prefetch(p->id());
-    std::vector<half> shard_heap;
     std::span<const half> shard;
     if (staged) {
       shard = staged->view;
     } else {
-      shard_heap.resize(shard_n);
-      store_.load_param_shard(p, shard_heap);
-      shard = shard_heap;
+      const std::span<half> own = full.subspan(
+          static_cast<std::size_t>(comm_.rank()) * shard_n, shard_n);
+      store_.load_param_shard(p, own);
+      shard = own;
     }
-    // 2. Allgather the padded fp16 parameter across ranks (the gg-transfer;
-    //    every rank moved only 1/dp of the data from slow memory).
-    padded.resize(static_cast<std::size_t>(spec.padded_numel()));
-    comm_.allgather<half>(shard, padded);
+    // 2. Allgather the padded fp16 parameter across ranks straight into
+    //    the block (the gg-transfer; every rank moved only 1/dp of the data
+    //    from slow memory).
+    comm_.allgather<half>(shard, full);
     // Weighted shards: slots carry unequal real chunks — compact them into
-    // the flat layout the cast below consumes (no-op for uniform specs).
-    compact_gathered<half>(spec, padded);
+    // the flat layout the kernels read (no-op for uniform specs).
+    compact_gathered<half>(spec, full);
     stats_.allgather_fp16_elems += shard_n;
   }
-
-  // 3. Materialize the fp32 compute tensor in GPU memory (the cg-transfer
-  //    plus cast). This is where "GPU" capacity pressure is enforced.
-  ArenaBlock block = res_.gpu().allocate(
-      static_cast<std::uint64_t>(p->numel()) * sizeof(float));
-  p->full_tensor() = Tensor::view(p->shape(), DType::kF32, block.data());
-  halves_to_floats(std::span<const half>(padded.data(),
-                                         static_cast<std::size_t>(p->numel())),
-                   p->full_tensor().span<float>());
+  p->full_tensor() = Tensor::view(p->shape(), DType::kF16, block.data());
   gathered_.emplace(p->id(), std::move(block));
   p->set_status(Parameter::Status::kAvailable);
   if (timed) {

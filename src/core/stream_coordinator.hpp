@@ -233,7 +233,8 @@ class StreamCoordinator {
 
   std::unordered_map<int, PrefetchSlot> prefetch_;
 
-  // Arena blocks backing gathered fp32 params.
+  // Arena blocks backing gathered params: padded_numel fp16 values each,
+  // viewed directly as the parameter's compute tensor.
   std::unordered_map<int, ArenaBlock> gathered_;
 };
 

@@ -46,8 +46,8 @@ ThreeDEngine::ThreeDEngine(const GptConfig& model_config, Communicator& world,
   for (Parameter* p : local_store_->params()) {
     // Master weights start from the fp16-rounded initialization (matching
     // the ZeRO engines) and keep full fp32 precision thereafter.
-    const float* full = p->full_tensor().data<float>();
-    master_.emplace_back(full, full + p->numel());
+    master_.emplace_back(static_cast<std::size_t>(p->numel()));
+    halves_to_floats(local_store_->fp16(p).span<half>(), master_.back());
     momentum_.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
     variance_.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
   }
@@ -132,7 +132,6 @@ ThreeDEngine::StepStats ThreeDEngine::train_step(
                     variance_[k], grad16[k],
                     local_store_->fp16(params[k]).span<half>(), cur_scale);
   }
-  local_store_->refresh_full_from_fp16();
   return st;
 }
 

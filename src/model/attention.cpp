@@ -93,62 +93,79 @@ Tensor CausalSelfAttention::forward(const Tensor& input) {
   return proj_->run_forward(y1);
 }
 
-Tensor CausalSelfAttention::forward_kv(const Tensor& input,
-                                       std::int64_t start_pos,
-                                       const KvLayerView& kv) {
+Tensor CausalSelfAttention::forward_kv(
+    const Tensor& input, std::span<const DecodeSegment> segments,
+    KvLender& kv) {
   ZI_CHECK_MSG(input.ndim() == 2 && input.dim(1) == hd_,
                "attention " << this->name() << ": bad decode input "
                             << input.to_string());
-  const std::int64_t rows = input.dim(0);
-  const std::int64_t len = start_pos + rows;
-  ZI_CHECK_MSG(start_pos == 0 || rows == 1,
-               "decode is prefill (start 0) or single-row, got start "
-                   << start_pos << " rows " << rows);
-  ZI_CHECK(kv.k != nullptr && kv.v != nullptr && len <= seq_);
+  std::int64_t total = 0;
+  for (const DecodeSegment& seg : segments) {
+    ZI_CHECK_MSG(seg.rows >= 1 && (seg.start_pos == 0 || seg.rows == 1),
+                 "decode is prefill (start 0) or single-row, got start "
+                     << seg.start_pos << " rows " << seg.rows);
+    ZI_CHECK(seg.start_pos + seg.rows <= seq_);
+    total += seg.rows;
+  }
+  ZI_CHECK(total == input.dim(0));
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_size_));
 
   fire_pre_forward();
-  Tensor qkv = qkv_->run_forward(input);  // [rows, 3hd]
+  Tensor qkv = qkv_->run_forward(input);  // [total, 3hd]
+  Tensor y1({total, hd_}, DType::kF32);
 
-  // Append this call's K/V rows to the cache at [start_pos, len): packed
-  // [position, hd] — the same head-interleaved layout as the QKV slices.
-  const float* qkv_p = qkv.data<float>();
-  for (std::int64_t t = 0; t < rows; ++t) {
-    const float* krow = qkv_p + t * 3 * hd_ + hd_;
-    const float* vrow = qkv_p + t * 3 * hd_ + 2 * hd_;
-    std::copy(krow, krow + hd_, kv.k + (start_pos + t) * hd_);
-    std::copy(vrow, vrow + hd_, kv.v + (start_pos + t) * hd_);
-  }
+  std::vector<float> q, kh, vh, o, scores, att;
+  std::int64_t row0 = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const std::int64_t rows = segments[s].rows;
+    const std::int64_t start_pos = segments[s].start_pos;
+    const std::int64_t len = start_pos + rows;
+    const float* qkv_p = qkv.data<float>() + row0 * 3 * hd_;
+    float* y1_p = y1.data<float>() + row0 * hd_;
+    const KvLayerView view = kv.acquire(s);
+    ZI_CHECK(view.k != nullptr && view.v != nullptr);
 
-  Tensor y1({rows, hd_}, DType::kF32);
-  std::vector<float> q(static_cast<std::size_t>(rows * head_size_));
-  std::vector<float> kh(static_cast<std::size_t>(len * head_size_));
-  std::vector<float> vh(kh.size()), o(q.size());
-  std::vector<float> scores(static_cast<std::size_t>(rows * len));
-  std::vector<float> att(scores.size());
-
-  float* y1_p = y1.data<float>();
-  for (std::int64_t h = 0; h < heads_; ++h) {
+    // Append this segment's K/V rows to its cache at [start_pos, len):
+    // packed [position, hd] — the same head-interleaved layout as the QKV
+    // slices.
     for (std::int64_t t = 0; t < rows; ++t) {
-      const float* src = qkv_p + t * 3 * hd_ + h * head_size_;
-      std::copy(src, src + head_size_, q.data() + t * head_size_);
+      const float* krow = qkv_p + t * 3 * hd_ + hd_;
+      const float* vrow = qkv_p + t * 3 * hd_ + 2 * hd_;
+      std::copy(krow, krow + hd_, view.k + (start_pos + t) * hd_);
+      std::copy(vrow, vrow + hd_, view.v + (start_pos + t) * hd_);
     }
-    // Per-head K/V over the full causal window, from the cache (rows this
-    // call just appended included).
-    for (std::int64_t t = 0; t < len; ++t) {
-      const float* ks = kv.k + t * hd_ + h * head_size_;
-      const float* vs = kv.v + t * hd_ + h * head_size_;
-      std::copy(ks, ks + head_size_, kh.data() + t * head_size_);
-      std::copy(vs, vs + head_size_, vh.data() + t * head_size_);
+
+    q.resize(static_cast<std::size_t>(rows * head_size_));
+    kh.resize(static_cast<std::size_t>(len * head_size_));
+    vh.resize(kh.size());
+    o.resize(q.size());
+    scores.resize(static_cast<std::size_t>(rows * len));
+    att.resize(scores.size());
+    for (std::int64_t h = 0; h < heads_; ++h) {
+      for (std::int64_t t = 0; t < rows; ++t) {
+        const float* src = qkv_p + t * 3 * hd_ + h * head_size_;
+        std::copy(src, src + head_size_, q.data() + t * head_size_);
+      }
+      // Per-head K/V over the full causal window, from the cache (rows
+      // this segment just appended included).
+      for (std::int64_t t = 0; t < len; ++t) {
+        const float* ks = view.k + t * hd_ + h * head_size_;
+        const float* vs = view.v + t * hd_ + h * head_size_;
+        std::copy(ks, ks + head_size_, kh.data() + t * head_size_);
+        std::copy(vs, vs + head_size_, vh.data() + t * head_size_);
+      }
+      gemm_nt(q.data(), kh.data(), scores.data(), rows, head_size_, len,
+              scale);
+      if (rows > 1) apply_causal_mask(scores.data(), rows);  // prefill
+      softmax_forward(scores.data(), att.data(), rows, len);
+      gemm(att.data(), vh.data(), o.data(), rows, len, head_size_);
+      for (std::int64_t t = 0; t < rows; ++t) {
+        std::copy(o.data() + t * head_size_, o.data() + (t + 1) * head_size_,
+                  y1_p + t * hd_ + h * head_size_);
+      }
     }
-    gemm_nt(q.data(), kh.data(), scores.data(), rows, head_size_, len, scale);
-    if (rows > 1) apply_causal_mask(scores.data(), rows);  // square prefill
-    softmax_forward(scores.data(), att.data(), rows, len);
-    gemm(att.data(), vh.data(), o.data(), rows, len, head_size_);
-    for (std::int64_t t = 0; t < rows; ++t) {
-      std::copy(o.data() + t * head_size_, o.data() + (t + 1) * head_size_,
-                y1_p + t * hd_ + h * head_size_);
-    }
+    kv.release(s);
+    row0 += rows;
   }
   Tensor out = proj_->run_forward(y1);
   fire_post_forward();

@@ -24,15 +24,16 @@ class CausalSelfAttention : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void drop_activations() override;
 
-  /// Incremental (KV-cached) forward for serving: `input` is [rows, hd] at
-  /// absolute positions [start_pos, start_pos+rows). Reads K/V rows
-  /// [0, start_pos) from `kv`, appends the freshly projected K/V rows, and
-  /// attends causally over the union. Either start_pos == 0 (prefill) or
-  /// rows == 1 (decode). Bit-identical to forward() at the corresponding
-  /// rows (row-wise kernels; the softmax of a masked tail is exactly 0).
-  /// Fires this module's hooks; saves nothing for backward.
-  Tensor forward_kv(const Tensor& input, std::int64_t start_pos,
-                    const KvLayerView& kv);
+  /// Incremental (KV-cached) forward for serving: `input` stacks the rows
+  /// of `segments` ([rows, hd]). The QKV and output projections run once
+  /// over the stack; then, segment by segment, the KV view `kv` lends it
+  /// receives the segment's freshly projected K/V rows at [start_pos, ...)
+  /// and the segment attends causally over rows [0, start_pos + rows).
+  /// Bit-identical to forward() at the corresponding rows (row-wise
+  /// kernels; the softmax of a masked tail is exactly 0). Fires this
+  /// module's hooks; saves nothing for backward.
+  Tensor forward_kv(const Tensor& input,
+                    std::span<const DecodeSegment> segments, KvLender& kv);
 
   Linear& qkv_proj() noexcept { return *qkv_; }
   Linear& out_proj() noexcept { return *proj_; }

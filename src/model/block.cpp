@@ -30,15 +30,17 @@ Tensor TransformerBlock::forward(const Tensor& input) {
 }
 
 Tensor TransformerBlock::forward_kv(const Tensor& input,
-                                    std::int64_t start_pos,
-                                    const KvLayerView& kv) {
+                                    std::span<const DecodeSegment> segments,
+                                    KvLender& kv) {
   fire_pre_forward();
-  // y = x + attn(ln1(x)), attention against the request's KV cache.
-  Tensor a = attn_->forward_kv(ln1_->run_forward(input), start_pos, kv);
+  // y = x + attn(ln1(x)), attention against each request's KV cache.
+  Tensor a = attn_->forward_kv(ln1_->run_forward(input), segments, kv);
   add_inplace(a.span<float>(), input.span<float>());
   // z = y + mlp(ln2(y))
   Tensor m = mlp_->run_forward(ln2_->run_forward(a));
   add_inplace(m.span<float>(), a.span<float>());
+  // No backward follows: free what the children saved for one.
+  drop_activations();
   fire_post_forward();
   return m;
 }

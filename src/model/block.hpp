@@ -20,11 +20,12 @@ class TransformerBlock : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Incremental (KV-cached) forward for serving: the same residual wiring
-  /// as forward() with the attention stage reading/appending `kv`. Fires
-  /// hooks; saves nothing for backward.
-  Tensor forward_kv(const Tensor& input, std::int64_t start_pos,
-                    const KvLayerView& kv);
+  /// Incremental (KV-cached) forward for serving over the stacked rows of
+  /// `segments`: the same residual wiring as forward(), with the attention
+  /// stage reading/appending each segment's KV cache. Fires hooks; saves
+  /// nothing for backward.
+  Tensor forward_kv(const Tensor& input,
+                    std::span<const DecodeSegment> segments, KvLender& kv);
 
   CausalSelfAttention& attention() noexcept { return *attn_; }
   Mlp& mlp() noexcept { return *mlp_; }

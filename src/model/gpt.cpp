@@ -134,31 +134,37 @@ Tensor Gpt::forward_logits(std::span<const std::int32_t> tokens) {
 }
 
 Tensor Gpt::embed_rows(std::span<const std::int32_t> tokens,
-                       std::int64_t start_pos) {
-  const auto n = static_cast<std::int64_t>(tokens.size());
-  ZI_CHECK_MSG(start_pos >= 0 && start_pos + n <= config_.seq,
-               "decode rows [" << start_pos << ", " << (start_pos + n)
-                               << ") exceed the context window "
-                               << config_.seq);
-  Tensor x = wte_->forward_ids(tokens);
-  std::vector<std::int32_t> positions(tokens.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    positions[i] =
-        static_cast<std::int32_t>(start_pos + static_cast<std::int64_t>(i));
+                       std::span<const DecodeSegment> segments) {
+  std::vector<std::int32_t> positions;
+  positions.reserve(tokens.size());
+  for (const DecodeSegment& seg : segments) {
+    ZI_CHECK_MSG(seg.start_pos >= 0 && seg.start_pos + seg.rows <= config_.seq,
+                 "decode rows [" << seg.start_pos << ", "
+                                 << (seg.start_pos + seg.rows)
+                                 << ") exceed the context window "
+                                 << config_.seq);
+    for (std::int64_t r = 0; r < seg.rows; ++r) {
+      positions.push_back(static_cast<std::int32_t>(seg.start_pos + r));
+    }
   }
+  ZI_CHECK_MSG(positions.size() == tokens.size(),
+               "embed_rows: " << tokens.size() << " tokens for "
+                              << positions.size() << " segment rows");
+  Tensor x = wte_->forward_ids(tokens);
   Tensor pos = wpe_->forward_ids(positions);
   add_inplace(x.span<float>(), pos.span<float>());
   return x;
 }
 
 Tensor Gpt::decode_layer(std::int64_t layer, const Tensor& x,
-                         std::int64_t start_pos, const KvLayerView& kv) {
+                         std::span<const DecodeSegment> segments,
+                         KvLender& kv) {
   ZI_CHECK_MSG(!raw_blocks_.empty(),
                "decode_layer requires checkpoint_activations=false");
   ZI_CHECK(layer >= 0 &&
            layer < static_cast<std::int64_t>(raw_blocks_.size()));
-  return raw_blocks_[static_cast<std::size_t>(layer)]->forward_kv(x, start_pos,
-                                                                  kv);
+  return raw_blocks_[static_cast<std::size_t>(layer)]->forward_kv(
+      x, segments, kv);
 }
 
 Tensor Gpt::lm_logits(const Tensor& x) {

@@ -82,9 +82,10 @@ class Gpt : public Module, public TrainableModel, public DecodableModel {
   std::int64_t kv_dim() const override { return config_.hidden; }
   std::int64_t vocab_size() const override { return config_.vocab; }
   Tensor embed_rows(std::span<const std::int32_t> tokens,
-                    std::int64_t start_pos) override;
+                    std::span<const DecodeSegment> segments) override;
   Tensor decode_layer(std::int64_t layer, const Tensor& x,
-                      std::int64_t start_pos, const KvLayerView& kv) override;
+                      std::span<const DecodeSegment> segments,
+                      KvLender& kv) override;
   Tensor lm_logits(const Tensor& x) override;
 
   /// Greedy autoregressive generation: starting from `prompt`, appends

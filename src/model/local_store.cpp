@@ -1,5 +1,7 @@
 #include "model/local_store.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/half.hpp"
 
@@ -16,19 +18,9 @@ LocalParamStore::LocalParamStore(Module& root) {
     for (std::int64_t i = 0; i < p->numel(); ++i) {
       hp[i] = half(p->init_value(i));
     }
-    fp16_.emplace(p, std::move(h));
-
-    p->full_tensor() = Tensor(p->shape(), DType::kF32);
+    p->full_tensor() = std::move(h);
     p->grad_tensor() = Tensor(p->shape(), DType::kF32);
     p->set_status(Parameter::Status::kAvailable);
-  }
-  refresh_full_from_fp16();
-}
-
-void LocalParamStore::refresh_full_from_fp16() {
-  for (Parameter* p : params_) {
-    halves_to_floats(fp16_.at(p).span<half>(),
-                     p->full_tensor().span<float>());
   }
 }
 
@@ -37,9 +29,9 @@ void LocalParamStore::zero_grads() {
 }
 
 Tensor& LocalParamStore::fp16(Parameter* p) {
-  auto it = fp16_.find(p);
-  ZI_CHECK_MSG(it != fp16_.end(), "unknown parameter " << p->name());
-  return it->second;
+  ZI_CHECK_MSG(std::find(params_.begin(), params_.end(), p) != params_.end(),
+               "unknown parameter " << p->name());
+  return p->full_tensor();
 }
 
 }  // namespace zi

@@ -1,16 +1,15 @@
 // LocalParamStore — plain (non-partitioned) parameter storage.
 //
 // This is what classic data parallelism does: every rank holds the full
-// fp16 parameters plus a full fp32 compute copy. It backs the DDP baseline
-// engine and lets model modules be unit-tested without the ZeRO machinery.
+// fp16 parameters. It backs the DDP, Megatron and 3D engines and lets model
+// modules be unit-tested without the ZeRO machinery.
 //
-// The fp16 storage is authoritative (matching mixed-precision training);
-// the fp32 `full` tensors used by compute are refreshed from fp16 after
-// every optimizer step, so DDP and ZeRO runs see identical parameter
-// rounding.
+// The fp16 tensor is each parameter's compute tensor, exactly as a gathered
+// ZeRO-3 parameter is: the kernels widen it where they read it, and the
+// optimizer writes the updated fp16 values straight into it, so DDP and
+// ZeRO runs see identical parameter rounding.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "model/module.hpp"
@@ -19,19 +18,15 @@ namespace zi {
 
 class LocalParamStore {
  public:
-  /// Materialize fp16 storage and fp32 full/grad tensors for every
+  /// Materialize fp16 compute tensors and fp32 grad tensors for every
   /// parameter in the tree; marks all parameters kAvailable.
   explicit LocalParamStore(Module& root);
-
-  /// Re-derive fp32 compute tensors from fp16 storage (call after the
-  /// optimizer writes updated fp16 values).
-  void refresh_full_from_fp16();
 
   void zero_grads();
 
   const std::vector<Parameter*>& params() const noexcept { return params_; }
 
-  /// Persistent fp16 weights of `p`.
+  /// Persistent fp16 weights of `p` (its compute tensor).
   Tensor& fp16(Parameter* p);
 
   /// Total parameter elements.
@@ -39,7 +34,6 @@ class LocalParamStore {
 
  private:
   std::vector<Parameter*> params_;
-  std::unordered_map<Parameter*, Tensor> fp16_;
   std::int64_t total_numel_ = 0;
 };
 

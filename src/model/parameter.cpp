@@ -55,23 +55,14 @@ float Parameter::init_value(std::int64_t index) const {
   return 0.0f;
 }
 
-float* Parameter::data() {
+const half* Parameter::data() const {
   if (status_ != Status::kAvailable && g_interceptor != nullptr) {
     // Automatic external-parameter registration: gather on first touch.
-    g_interceptor(g_interceptor_ctx, this);
-  }
-  ZI_CHECK_MSG(status_ == Status::kAvailable,
-               "parameter '" << name_ << "' accessed while not gathered");
-  return full_.data<float>();
-}
-
-const float* Parameter::data() const {
-  if (status_ != Status::kAvailable && g_interceptor != nullptr) {
     g_interceptor(g_interceptor_ctx, const_cast<Parameter*>(this));
   }
   ZI_CHECK_MSG(status_ == Status::kAvailable,
                "parameter '" << name_ << "' accessed while not gathered");
-  return full_.data<float>();
+  return full_.data<half>();
 }
 
 float* Parameter::grad_data() {

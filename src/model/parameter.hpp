@@ -1,7 +1,7 @@
 // Parameter — one learnable tensor with an explicit availability lifecycle.
 //
 // In ZeRO-3/Infinity a parameter's persistent form is a partitioned fp16
-// shard that may live on GPU, CPU, or NVMe; the full fp32 tensor used for
+// shard that may live on GPU, CPU, or NVMe; the full fp16 tensor used for
 // compute exists only between a gather and a release (Sec. 5.1.1). The
 // Parameter object carries:
 //   * immutable identity (name, shape, deterministic init spec), and
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/half.hpp"
 #include "tensor/tensor.hpp"
 
 namespace zi {
@@ -70,11 +71,11 @@ class Parameter {
   /// storage rounding). Pure function — identical on every rank.
   float init_value(std::int64_t index) const;
 
-  /// Full fp32 tensor for compute. Populated by the coordinator (or a
-  /// LocalParamStore); accessing it while kNotAvailable is a hard error —
-  /// that is the bug class the availability state machine exists to catch.
-  float* data();
-  const float* data() const;
+  /// Full fp16 tensor for compute; the kernels widen it as they read it.
+  /// Populated by the coordinator (or a LocalParamStore); accessing it
+  /// while kNotAvailable is a hard error — that is the bug class the
+  /// availability state machine exists to catch.
+  const half* data() const;
 
   /// fp32 gradient accumulation buffer, valid during backward.
   float* grad_data();

@@ -99,11 +99,7 @@ Tensor TpAttention::forward(const Tensor& input) {
   // Row-parallel output projection: local partial sums, reduced across tp.
   Tensor out = proj_->run_forward(y1);
   tp_.allreduce_sum<float>(out.span<float>());
-  const float* bias = proj_bias_->data();
-  float* op = out.data<float>();
-  for (std::int64_t t = 0; t < tokens; ++t) {
-    for (std::int64_t j = 0; j < hd_; ++j) op[t * hd_ + j] += bias[j];
-  }
+  add_bias(out.data<float>(), proj_bias_->data(), tokens, hd_);
   return out;
 }
 
@@ -196,12 +192,7 @@ Tensor TpMlp::forward(const Tensor& input) {
   gelu_forward(h.data<float>(), g.data<float>(), h.numel());
   Tensor out = fc2_->run_forward(g);
   tp_.allreduce_sum<float>(out.span<float>());
-  const float* bias = fc2_bias_->data();
-  float* op = out.data<float>();
-  const std::int64_t tokens = out.dim(0);
-  for (std::int64_t t = 0; t < tokens; ++t) {
-    for (std::int64_t j = 0; j < hd_; ++j) op[t * hd_ + j] += bias[j];
-  }
+  add_bias(out.data<float>(), fc2_bias_->data(), out.dim(0), hd_);
   return out;
 }
 

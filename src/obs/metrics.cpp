@@ -103,7 +103,6 @@ std::string StepReport::to_json_line() const {
   append_kv(out, "cpu_peak", cpu_peak);
   append_kv(out, "nvme_used", nvme_used);
   append_kv(out, "nvme_peak", nvme_peak);
-  append_kv(out, "arena_peak", arena_peak);
   append_kv(out, "pinned_blocked", pinned_blocked);
   append_kv(out, "comm_aborts", comm_aborts);
   append_kv(out, "elastic_restarts", elastic_restarts);

@@ -86,14 +86,14 @@ struct StepReport {
   double sched_latency_wait_seconds = 0.0;  ///< latency-class submit→issue
   double sched_bulk_wait_seconds = 0.0;     ///< bulk-class submit→issue
 
-  // Memory accountant (this rank, absolute bytes).
+  // Memory (this rank, absolute bytes): GPU from the device arena, CPU and
+  // NVMe from the accountant.
   std::uint64_t gpu_used = 0;
   std::uint64_t gpu_peak = 0;
   std::uint64_t cpu_used = 0;
   std::uint64_t cpu_peak = 0;
   std::uint64_t nvme_used = 0;
   std::uint64_t nvme_peak = 0;
-  std::uint64_t arena_peak = 0;       ///< GPU arena high-water (bytes)
   std::uint64_t pinned_blocked = 0;   ///< cumulative blocked pinned acquires
 
   // Failure tolerance (process-wide cumulative counters + world health —

@@ -164,60 +164,95 @@ std::vector<ServeResult> ServeEngine::run(
   return results;
 }
 
+namespace {
+
+// Lends each active slot's KV cache for one layer, in slot order.
+class SlotKv final : public KvLender {
+ public:
+  SlotKv(TieredKvCache& cache, std::int64_t layer,
+         std::span<const int> slots, std::span<const DecodeSegment> segments)
+      : cache_(cache), layer_(layer), slots_(slots), segments_(segments) {}
+
+  KvLayerView acquire(std::size_t s) override {
+    return cache_.acquire(slots_[s], layer_, segments_[s].start_pos);
+  }
+  void release(std::size_t s) override {
+    cache_.release(slots_[s], layer_, segments_[s].start_pos,
+                   segments_[s].rows);
+  }
+
+ private:
+  TieredKvCache& cache_;
+  std::int64_t layer_;
+  std::span<const int> slots_;
+  std::span<const DecodeSegment> segments_;
+};
+
+}  // namespace
+
 void ServeEngine::step_model(const std::vector<ServeRequest>& requests) {
   ZI_TRACE_SPAN("serve", "decode_step");
   StreamCoordinator& coord = engine_.coordinator();
   coord.begin_iteration();
-  std::vector<Tensor> x(slots_.size());
 
-  // Embedding phase: prefilling slots embed their whole prompt, decoding
-  // slots embed the single token produced last step. One reuse window so
-  // wte/wpe are gathered once for the whole batch.
-  coord.begin_reuse_window();
+  // Stack every active slot's new rows, in slot order: a prefilling slot
+  // its whole prompt from position 0, a decoding slot the one token it
+  // produced last step.
+  std::vector<int> slots;
+  std::vector<DecodeSegment> segments;
+  std::vector<std::int32_t> tokens;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
+    const Slot& s = slots_[i];
     if (!s.active) continue;
+    slots.push_back(static_cast<int>(i));
     if (!s.prefilled) {
-      x[i] = model_.embed_rows(requests[s.req].prompt, 0);
+      const std::vector<std::int32_t>& prompt = requests[s.req].prompt;
+      segments.push_back({static_cast<std::int64_t>(prompt.size()), 0});
+      tokens.insert(tokens.end(), prompt.begin(), prompt.end());
     } else {
-      x[i] = model_.embed_rows(std::span<const std::int32_t>(&s.last_token, 1),
-                               s.pos);
+      segments.push_back({1, s.pos});
+      tokens.push_back(s.last_token);
     }
   }
+
+  // Each phase is one stacked model call inside one reuse window, so its
+  // weights are gathered (and widened) once per step.
+  coord.begin_reuse_window();
+  Tensor x = model_.embed_rows(tokens, segments);
   coord.end_reuse_window();
 
-  // Layer phase: every request advances through layer l inside one reuse
-  // window — the layer's weights stream in once per step, the KV cache
-  // pages per (slot, layer).
+  // Layer phase: LayerNorms, projections, MLP and residuals run once over
+  // the stack; attention pages each slot's KV cache in slot order.
   for (std::int64_t l = 0; l < model_.num_decode_layers(); ++l) {
+    SlotKv kv(kv_, l, slots, segments);
     coord.begin_reuse_window();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (!s.active) continue;
-      const std::int64_t rows = x[i].dim(0);
-      const std::int64_t start = s.prefilled ? s.pos : 0;
-      const KvLayerView kv = kv_.acquire(static_cast<int>(i), l, start);
-      x[i] = model_.decode_layer(l, x[i], start, kv);
-      kv_.release(static_cast<int>(i), l, start, rows);
-    }
+    x = model_.decode_layer(l, x, segments, kv);
     coord.end_reuse_window();
   }
 
-  // Head phase: final layernorm + LM head once per request, greedy argmax
-  // over the last row's logits.
-  coord.begin_reuse_window();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    if (!s.active) continue;
-    const Tensor logits = model_.lm_logits(x[i]);
-    const std::int32_t tok =
-        StreamEngine::argmax_row(logits, logits.dim(0) - 1);
-    s.pos += x[i].dim(0);
-    s.prefilled = true;
-    s.last_token = tok;
-    s.generated.push_back(tok);
+  // Head phase: final layernorm + LM head over each slot's last row only,
+  // greedy argmax per slot.
+  const std::int64_t hidden = x.dim(1);
+  Tensor last({static_cast<std::int64_t>(segments.size()), hidden},
+              DType::kF32);
+  std::int64_t end = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    end += segments[s].rows;
+    std::copy_n(x.data<float>() + (end - 1) * hidden, hidden,
+                last.data<float>() + static_cast<std::int64_t>(s) * hidden);
   }
+  coord.begin_reuse_window();
+  const Tensor logits = model_.lm_logits(last);
   coord.end_reuse_window();
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    Slot& slot = slots_[static_cast<std::size_t>(slots[s])];
+    const std::int32_t tok =
+        StreamEngine::argmax_row(logits, static_cast<std::int64_t>(s));
+    slot.pos += segments[s].rows;
+    slot.prefilled = true;
+    slot.last_token = tok;
+    slot.generated.push_back(tok);
+  }
   coord.end_iteration();
 }
 

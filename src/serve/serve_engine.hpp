@@ -18,12 +18,15 @@
 //   evict    — requests that reach max_new_tokens complete, free their
 //              slot, and emit a RequestReport JSONL line (rank 0).
 //
-// Each phase (embedding, every layer, LM head) runs inside one coordinator
-// reuse window: the first request's hook fetch gathers the layer's
-// weights, the remaining requests hit the gathered buffer, and the window
-// flush re-partitions — so per decode step each parameter is fetched
-// exactly once no matter how many requests are in flight, and the traced
-// prefetcher sees the same fetch sequence every step.
+// Prefill and decode rows of every active slot are stacked, in slot order,
+// into one matrix, so each phase (embedding, every layer, LM head) is one
+// model call inside one coordinator reuse window: LayerNorms, projections,
+// the MLP and the residuals run once per step over all rows, and only
+// attention runs per slot, paging that slot's KV cache in and out. Each
+// parameter is therefore gathered, and widened by the kernels, exactly
+// once per decode step no matter how many requests are in flight, and the
+// traced prefetcher sees the same fetch sequence every step. The head
+// phase projects only each slot's last row, the one argmax reads.
 //
 // Determinism: greedy argmax over bit-identical logits (all collectives
 // are deterministic) means the token stream for a request is independent
@@ -102,8 +105,8 @@ class ServeEngine {
     double first_token_seconds = 0.0;  ///< 0 until the first token lands
   };
 
-  /// One model pass over every active slot (prefill or decode as marked);
-  /// appends one token per active request.
+  /// One stacked model pass over every active slot (prefill or decode as
+  /// marked); appends one token per active request.
   void step_model(const std::vector<ServeRequest>& requests);
 
   StreamEngine& engine_;

@@ -12,11 +12,13 @@
 namespace zi {
 
 // ---------------------------------------------------------------------------
-// GEMM. All three variants run one register-tiled microkernel: a tile of
-// up to kMr rows by kNr columns of C stays in 16-byte vector registers for
-// the whole k loop. A arrives as a packed panel of the tile's rows; B as an
-// 8-column strip, read in place for gemm / gemm_tn and packed from Bᵀ for
-// gemm_nt.
+// GEMM. Every variant runs one register-tiled microkernel: a tile of up to
+// kMr rows by kNr columns of C stays in 16-byte vector registers for the
+// whole k loop. op(A) is packed once per call into kMr-row panels. op(B)
+// is walked as kNr-column strips; each strip is read in place (full strips
+// of an fp32 B in gemm / gemm_tn) or packed, and then meets every A panel.
+// Packing is where an fp16 B is widened, eight columns at a time, and
+// where gemm_nt transposes Bᵀ.
 //
 // Numerics contract (DESIGN.md §2): the results are bit-identical to plain
 // scalar loops, kept as the oracle in tests/test_ops.cpp. Every C element
@@ -26,13 +28,15 @@ namespace zi {
 //   gemm, gemm_tn: start from beta·C (+0 when beta == 0, C as is when
 //     beta == 1) and add (alpha·a)·b, skipping a term whose alpha·a is zero.
 //   gemm_nt: sum a·b from +0, then C = alpha·acc + (beta == 0 ? 0 : beta·C).
+//   fp16 B: widening is exact, so the fp16 forms equal the fp32 forms run
+//     on the widened B, bit for bit.
 
 namespace {
 
 constexpr i64 kMr = 4;  // rows of C per register tile
 constexpr i64 kNr = 8;  // columns of C per register tile: two vectors
-// gemm_nt packs Bᵀ for this many rows or more. For a single row (decode)
-// packing costs about what it saves, so B is read in place.
+// The fp32 gemm_nt packs Bᵀ for this many rows or more. For a single row
+// (decode) packing costs about what it saves, so B is read in place.
 constexpr i64 kNtPackMinRows = 2;
 
 // Generic 16-byte vectors: SSE2 at the x86-64 baseline ISA.
@@ -49,14 +53,18 @@ void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
 V4 splat(float x) { return V4{x, x, x, x}; }
 
 // Packing buffers, one set per thread, grown on demand and reused.
-float* scratch(std::vector<float>& buf, i64 floats) {
-  if (buf.size() < static_cast<std::size_t>(floats)) {
-    buf.resize(static_cast<std::size_t>(floats));
+template <typename T>
+T* scratch(std::vector<T>& buf, i64 elems) {
+  if (buf.size() < static_cast<std::size_t>(elems)) {
+    buf.resize(static_cast<std::size_t>(elems));
   }
   return buf.data();
 }
-thread_local std::vector<float> t_a_panel;
-thread_local std::vector<float> t_b_strips;
+thread_local std::vector<float> t_a_panels;
+thread_local std::vector<char> t_a_skip;
+thread_local std::vector<float> t_b_strip;
+thread_local std::vector<float> t_b_rows;
+thread_local std::vector<half> t_b_tail;
 
 enum class Form {
   kAccumulate,  // gemm, gemm_tn
@@ -70,14 +78,10 @@ struct AView {
   i64 col_stride;
 };
 
-// B as kNr-column strips: full strip s begins at base + s * strip_stride
-// with rows ldb apart; a partial last strip is packed, zero-padded, at
-// `tail` with rows kNr apart.
-struct BStrips {
-  const float* base;
-  i64 strip_stride;
+// One kNr-column strip of op(B): row p at b + p * ldb.
+struct Strip {
+  const float* b;
   i64 ldb;
-  const float* tail;
 };
 
 // Packs a strip of w columns, element (p, c) at b[p * row_step +
@@ -144,80 +148,105 @@ void tile_kernel(const float* ap, const float* b, i64 ldb, i64 k, float* ct,
   });
 }
 
-// One block of R rows of C against every strip of B.
+// The R x w tile of C at rows c..c+R-1 (n apart), columns j..j+w-1. A
+// partial strip's tile goes through a padded copy.
 template <int R>
-void row_block(const float* ap, bool skip_zero, const BStrips& bs, float* c,
-               i64 k, i64 n, float alpha, float beta, Form form) {
-  const bool load_c = beta != 0.0f;
-  for (i64 j = 0; j < n; j += kNr) {
-    const i64 w = std::min(kNr, n - j);
-    const bool full = w == kNr;
-    const float* b = full ? bs.base + (j / kNr) * bs.strip_stride : bs.tail;
-    const i64 ldb = full ? bs.ldb : kNr;
-    // A partial strip's C tile goes through a padded copy.
-    float edge[R * kNr];
-    float* ct = full ? c + j : edge;
-    const i64 ldc = full ? n : kNr;
-    if (!full) {
-      std::fill(edge, edge + R * kNr, 0.0f);
-      if (load_c) {
-        for (int r = 0; r < R; ++r) {
-          std::copy(c + r * n + j, c + r * n + j + w, edge + r * kNr);
-        }
-      }
-    }
-
-    if (skip_zero) {
-      tile_kernel<R, true>(ap, b, ldb, k, ct, ldc, alpha, beta, form);
-    } else {
-      tile_kernel<R, false>(ap, b, ldb, k, ct, ldc, alpha, beta, form);
-    }
-    if (!full) {
+void tile(const float* ap, bool skip_zero, Strip s, float* c, i64 j, i64 w,
+          i64 k, i64 n, float alpha, float beta, Form form) {
+  const bool full = w == kNr;
+  float edge[R * kNr];
+  float* ct = full ? c + j : edge;
+  const i64 ldc = full ? n : kNr;
+  if (!full) {
+    std::fill(edge, edge + R * kNr, 0.0f);
+    if (beta != 0.0f) {
       for (int r = 0; r < R; ++r) {
-        std::copy(edge + r * kNr, edge + r * kNr + w, c + r * n + j);
+        std::copy(c + r * n + j, c + r * n + j + w, edge + r * kNr);
       }
+    }
+  }
+  if (skip_zero) {
+    tile_kernel<R, true>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
+  } else {
+    tile_kernel<R, false>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
+  }
+  if (!full) {
+    for (int r = 0; r < R; ++r) {
+      std::copy(edge + r * kNr, edge + r * kNr + w, c + r * n + j);
     }
   }
 }
 
-// C = op(A) · B through the microkernel, one packed block of up to kMr rows
-// at a time. `a_scale` is applied while packing (alpha for the accumulate
-// form, 1 for the dot form).
-void gemm_tiled(AView a, float a_scale, const BStrips& bs, float* c, i64 m,
+// C = op(A) · op(B) through the microkernel. op(A) is packed once, scaled
+// by `a_scale` (alpha for the accumulate form, 1 for the dot form): the
+// panel of rows i..i+3 starts at i * k with element (p, r) at
+// [p * rows + r]. `strip(j, w)` yields the strip of columns j..j+w-1,
+// which then runs against every panel.
+template <typename StripFn>
+void gemm_tiled(AView a, float a_scale, StripFn&& strip, float* c, i64 m,
                 i64 k, i64 n, float alpha, float beta, Form form) {
-  float* ap = scratch(t_a_panel, kMr * k);
+  float* ap = scratch(t_a_panels, m * k);
+  char* skip = scratch(t_a_skip, (m + kMr - 1) / kMr);
   for (i64 i = 0; i < m; i += kMr) {
     const i64 rows = std::min(kMr, m - i);
+    float* panel = ap + i * k;
     bool any_zero = false;
     for (i64 p = 0; p < k; ++p) {
       for (i64 r = 0; r < rows; ++r) {
         const float v =
             a_scale * a.a[(i + r) * a.row_stride + p * a.col_stride];
-        ap[p * rows + r] = v;
+        panel[p * rows + r] = v;
         any_zero = any_zero || v == 0.0f;
       }
     }
-    const bool skip = form == Form::kAccumulate && any_zero;
-    float* cb = c + i * n;
-    switch (rows) {
-      case 1: row_block<1>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
-      case 2: row_block<2>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
-      case 3: row_block<3>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
-      default: row_block<4>(ap, skip, bs, cb, k, n, alpha, beta, form); break;
+    skip[i / kMr] = form == Form::kAccumulate && any_zero;
+  }
+  for (i64 j = 0; j < n; j += kNr) {
+    const i64 w = std::min(kNr, n - j);
+    const Strip s = strip(j, w);
+    for (i64 i = 0; i < m; i += kMr) {
+      const float* panel = ap + i * k;
+      const bool sk = skip[i / kMr] != 0;
+      float* cb = c + i * n;
+      switch (std::min(kMr, m - i)) {
+        case 1: tile<1>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
+        case 2: tile<2>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
+        case 3: tile<3>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
+        default: tile<4>(panel, sk, s, cb, j, w, k, n, alpha, beta, form);
+      }
     }
   }
 }
 
-// B[k][n] in place; only a partial last strip is packed.
-BStrips strips_of_b(const float* b, i64 k, i64 n) {
-  BStrips bs{b, kNr, n, nullptr};
-  const i64 tail = n % kNr;
-  if (tail != 0) {
-    float* dst = scratch(t_b_strips, k * kNr);
-    pack_strip(b + (n - tail), n, 1, k, tail, dst);
-    bs.tail = dst;
-  }
-  return bs;
+// Strips of an fp32 B[k][n]: full strips in place, a partial one packed.
+auto strips_of_b(const float* b, i64 k, i64 n) {
+  return [=](i64 j, i64 w) {
+    if (w == kNr) return Strip{b + j, n};
+    float* dst = scratch(t_b_strip, k * kNr);
+    pack_strip(b + j, n, 1, k, w, dst);
+    return Strip{dst, kNr};
+  };
+}
+
+// Strips of an fp16 B[k][n], widened eight halves per row into the packed
+// strip; a partial strip is first copied, zero-padded, to kNr columns.
+auto strips_of_half_b(const half* b, i64 k, i64 n) {
+  return [=](i64 j, i64 w) {
+    const half* src = b + j;
+    std::size_t stride = static_cast<std::size_t>(n);
+    if (w < kNr) {
+      half* padded = scratch(t_b_tail, k * kNr);
+      for (i64 p = 0; p < k; ++p) {
+        std::fill(std::copy(b + p * n + j, b + p * n + n, padded + p * kNr),
+                  padded + (p + 1) * kNr, half());
+      }
+      src = padded;
+      stride = kNr;
+    }
+    float* dst = scratch(t_b_strip, k * kNr);
+    halves_to_floats8_strided(src, stride, static_cast<std::size_t>(k), dst);
+    return Strip{dst, kNr};
+  };
 }
 
 // Reads B[j + c][p + q] for c < kNr, q < 4 (B's rows k apart, bj at row
@@ -253,6 +282,29 @@ void pack_bt_strip(const float* bj, i64 k, i64 w, float* dst) {
   }
   // A partial strip, and the last k % 4 p of a full one, one by one.
   pack_strip(bj + p, 1, k, k - p, w, dst + p * kNr);
+}
+
+// Bᵀ strips of an fp32 B[n][k].
+auto strips_of_bt(const float* b, i64 k) {
+  return [=](i64 j, i64 w) {
+    float* dst = scratch(t_b_strip, k * kNr);
+    pack_bt_strip(b + j * k, k, w, dst);
+    return Strip{dst, kNr};
+  };
+}
+
+// Bᵀ strips of an fp16 B[n][k]: the strip's w rows are contiguous, so they
+// are widened in one pass and then transposed like an fp32 strip.
+auto strips_of_half_bt(const half* b, i64 k) {
+  return [=](i64 j, i64 w) {
+    const auto count = static_cast<std::size_t>(w * k);
+    float* rows = scratch(t_b_rows, kNr * k);
+    halves_to_floats(std::span<const half>(b + j * k, count),
+                     std::span<float>(rows, count));
+    float* dst = scratch(t_b_strip, k * kNr);
+    pack_bt_strip(rows, k, w, dst);
+    return Strip{dst, kNr};
+  };
 }
 
 // gemm_nt without packing, for fewer than kNtPackMinRows rows: kNr rows of
@@ -308,6 +360,12 @@ void gemm(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
              beta, Form::kAccumulate);
 }
 
+void gemm(const float* a, const half* b, float* c, i64 m, i64 k, i64 n,
+          float alpha, float beta) {
+  gemm_tiled(AView{a, k, 1}, alpha, strips_of_half_b(b, k, n), c, m, k, n,
+             alpha, beta, Form::kAccumulate);
+}
+
 void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
              float alpha, float beta) {
   // C[i][j] = sum_p A[i][p] * B[j][p].
@@ -315,14 +373,14 @@ void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
     gemm_nt_unpacked(a, b, c, m, k, n, alpha, beta);
     return;
   }
-  const i64 strips = (n + kNr - 1) / kNr;
-  float* bt = scratch(t_b_strips, strips * k * kNr);
-  for (i64 s = 0; s < strips; ++s) {
-    const i64 j = s * kNr;
-    pack_bt_strip(b + j * k, k, std::min(kNr, n - j), bt + s * k * kNr);
-  }
-  const BStrips bs{bt, k * kNr, kNr, bt + (n / kNr) * k * kNr};
-  gemm_tiled(AView{a, k, 1}, 1.0f, bs, c, m, k, n, alpha, beta, Form::kDot);
+  gemm_tiled(AView{a, k, 1}, 1.0f, strips_of_bt(b, k), c, m, k, n, alpha,
+             beta, Form::kDot);
+}
+
+void gemm_nt(const float* a, const half* b, float* c, i64 m, i64 k, i64 n,
+             float alpha, float beta) {
+  gemm_tiled(AView{a, k, 1}, 1.0f, strips_of_half_bt(b, k), c, m, k, n,
+             alpha, beta, Form::kDot);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
@@ -335,18 +393,32 @@ void gemm_tn(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
 // ---------------------------------------------------------------------------
 // Linear
 
-void linear_forward(const float* x, const float* w, const float* bias,
+namespace {
+
+// An fp16 parameter vector (bias, gamma, beta) widened for a row loop.
+std::vector<float> widened(const half* v, i64 n) {
+  std::vector<float> out(static_cast<std::size_t>(n));
+  halves_to_floats(std::span<const half>(v, out.size()), out);
+  return out;
+}
+
+}  // namespace
+
+void linear_forward(const float* x, const half* w, const half* bias,
                     float* y, i64 batch, i64 in, i64 out) {
   gemm(x, w, y, batch, in, out);
-  if (bias != nullptr) {
-    for (i64 i = 0; i < batch; ++i) {
-      float* yrow = y + i * out;
-      for (i64 j = 0; j < out; ++j) yrow[j] += bias[j];
-    }
+  if (bias != nullptr) add_bias(y, bias, batch, out);
+}
+
+void add_bias(float* y, const half* bias, i64 rows, i64 n) {
+  const std::vector<float> b = widened(bias, n);
+  for (i64 i = 0; i < rows; ++i) {
+    float* yrow = y + i * n;
+    for (i64 j = 0; j < n; ++j) yrow[j] += b[static_cast<std::size_t>(j)];
   }
 }
 
-void linear_backward(const float* x, const float* w, const float* dy,
+void linear_backward(const float* x, const half* w, const float* dy,
                      float* dx, float* dw, float* dbias, i64 batch, i64 in,
                      i64 out) {
   if (dx != nullptr) {
@@ -397,9 +469,11 @@ void gelu_backward(const float* x, const float* dy, float* dx, i64 n,
 // ---------------------------------------------------------------------------
 // LayerNorm
 
-void layernorm_forward(const float* x, const float* gamma, const float* beta,
-                       float* y, float* mean, float* rstd, i64 rows, i64 dim,
-                       float eps) {
+void layernorm_forward(const float* x, const half* gamma16,
+                       const half* beta16, float* y, float* mean, float* rstd,
+                       i64 rows, i64 dim, float eps) {
+  const std::vector<float> gamma = widened(gamma16, dim);
+  const std::vector<float> beta = widened(beta16, dim);
   for (i64 r = 0; r < rows; ++r) {
     const float* xr = x + r * dim;
     float* yr = y + r * dim;
@@ -417,14 +491,17 @@ void layernorm_forward(const float* x, const float* gamma, const float* beta,
     rstd[r] = rs;
     for (i64 j = 0; j < dim; ++j) {
       const float norm = (xr[j] - static_cast<float>(m)) * rs;
-      yr[j] = norm * gamma[j] + beta[j];
+      const auto u = static_cast<std::size_t>(j);
+      yr[j] = norm * gamma[u] + beta[u];
     }
   }
 }
 
-void layernorm_backward(const float* x, const float* gamma, const float* mean,
-                        const float* rstd, const float* dy, float* dx,
-                        float* dgamma, float* dbeta, i64 rows, i64 dim) {
+void layernorm_backward(const float* x, const half* gamma16,
+                        const float* mean, const float* rstd, const float* dy,
+                        float* dx, float* dgamma, float* dbeta, i64 rows,
+                        i64 dim) {
+  const std::vector<float> gamma = widened(gamma16, dim);
   for (i64 r = 0; r < rows; ++r) {
     const float* xr = x + r * dim;
     const float* dyr = dy + r * dim;
@@ -437,7 +514,7 @@ void layernorm_backward(const float* x, const float* gamma, const float* mean,
     double sum_dy_g_xhat = 0.0;  // sum(dy * gamma * xhat)
     for (i64 j = 0; j < dim; ++j) {
       const float xhat = (xr[j] - m) * rs;
-      const float dyg = dyr[j] * gamma[j];
+      const float dyg = dyr[j] * gamma[static_cast<std::size_t>(j)];
       sum_dy_g += dyg;
       sum_dy_g_xhat += static_cast<double>(dyg) * xhat;
       if (dgamma != nullptr) dgamma[j] += dyr[j] * xhat;
@@ -448,7 +525,7 @@ void layernorm_backward(const float* x, const float* gamma, const float* mean,
         static_cast<float>(sum_dy_g_xhat / static_cast<double>(dim));
     for (i64 j = 0; j < dim; ++j) {
       const float xhat = (xr[j] - m) * rs;
-      const float dyg = dyr[j] * gamma[j];
+      const float dyg = dyr[j] * gamma[static_cast<std::size_t>(j)];
       dxr[j] = rs * (dyg - c1 - xhat * c2);
     }
   }
@@ -499,11 +576,13 @@ void apply_causal_mask(float* scores, i64 rows) {
 // ---------------------------------------------------------------------------
 // Embedding
 
-void embedding_forward(const float* table, const std::int32_t* ids, float* y,
+void embedding_forward(const half* table, const std::int32_t* ids, float* y,
                        i64 count, i64 dim) {
+  const auto d = static_cast<std::size_t>(dim);
   for (i64 i = 0; i < count; ++i) {
-    std::memcpy(y + i * dim, table + static_cast<i64>(ids[i]) * dim,
-                static_cast<std::size_t>(dim) * sizeof(float));
+    halves_to_floats(
+        std::span<const half>(table + static_cast<i64>(ids[i]) * dim, d),
+        std::span<float>(y + i * dim, d));
   }
 }
 

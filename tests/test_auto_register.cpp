@@ -30,7 +30,7 @@ struct Borrower : public Module {
 
   Tensor forward(const Tensor& x) override {
     // First touch of an ungathered parameter → interceptor fires.
-    const float scale = borrowed_->data()[0];
+    const float scale = borrowed_->data()[0].to_float();
     Tensor y = x.clone();
     for (std::int64_t i = 0; i < y.numel(); ++i) y.set(i, y.get(i) * scale);
     saved_input_ = x.clone();
@@ -38,7 +38,7 @@ struct Borrower : public Module {
   }
 
   Tensor backward(const Tensor& dy) override {
-    const float scale = borrowed_->data()[0];
+    const float scale = borrowed_->data()[0].to_float();
     // d(borrowed[0]) += sum(dy * x).
     double acc = 0.0;
     for (std::int64_t i = 0; i < dy.numel(); ++i) {

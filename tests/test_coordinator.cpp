@@ -68,7 +68,7 @@ TEST_F(CoordinatorTest, GatherMaterializesExactInitValues) {
     EXPECT_EQ(w->status(), Parameter::Status::kNotAvailable);
     coord.fetch(w, /*for_backward=*/false);
     EXPECT_EQ(w->status(), Parameter::Status::kAvailable);
-    // Gathered fp32 values = fp16-rounded deterministic init.
+    // Gathered values = fp16-rounded deterministic init.
     for (std::int64_t i = 0; i < w->numel(); ++i) {
       EXPECT_EQ(w->full_tensor().get(i), half(w->init_value(i)).to_float());
     }
@@ -76,6 +76,57 @@ TEST_F(CoordinatorTest, GatherMaterializesExactInitValues) {
     EXPECT_EQ(w->status(), Parameter::Status::kNotAvailable);
     EXPECT_FALSE(w->full_tensor().defined());
   });
+}
+
+// A gathered parameter is an fp16 view of exactly one arena block of the
+// padded fp16 size (256-byte rounded) holding the exact fp16 init values:
+// no fp32 copy, no second block. Checked for the allgather path, the
+// broadcast baseline and weighted shards, on a 3-rank world where no
+// parameter divides evenly.
+TEST_F(CoordinatorTest, GatheredParameterIsOneFp16ArenaBlock) {
+  struct Mode {
+    const char* name;
+    bool bandwidth_centric;
+    std::vector<double> weights;
+  };
+  const Mode modes[] = {{"allgather", true, {}},
+                        {"broadcast", false, {}},
+                        {"weighted", true, {1.0, 2.0, 4.0}}};
+  AioEngine aio;
+  for (const Mode& mode : modes) {
+    EngineConfig cfg = nvme_config();
+    cfg.bandwidth_centric = mode.bandwidth_centric;
+    cfg.rank_weights = mode.weights;
+    cfg.nvme_dir = (dir_ / mode.name).string();
+    fs::create_directories(cfg.nvme_dir);
+    run_ranks(3, [&](Communicator& comm) {
+      Linear lin("lin", 40, 70);
+      lin.finalize();
+      RankResources res(comm.rank(), aio, 8 * kMiB, 16 * kMiB, cfg.nvme_dir,
+                        64 * 1024, 2);
+      ModelStateStore store(res, cfg, lin.all_parameters(), comm.rank(), 3);
+      ParamCoordinator coord(store, res, comm, cfg);
+      for (Parameter* p : lin.all_parameters()) {
+        const std::uint64_t before = res.gpu().used();
+        coord.fetch(p, /*for_backward=*/false);
+        const std::uint64_t padded_bytes =
+            static_cast<std::uint64_t>(store.param_spec(p).padded_numel()) *
+            sizeof(half);
+        EXPECT_EQ(res.gpu().used() - before, (padded_bytes + 255) / 256 * 256)
+            << mode.name << " " << p->name();
+        const Tensor& full = p->full_tensor();
+        EXPECT_EQ(full.dtype(), DType::kF16) << mode.name;
+        EXPECT_EQ(full.numel(), p->numel());
+        EXPECT_EQ(p->data(), full.data<half>());
+        for (std::int64_t i = 0; i < p->numel(); ++i) {
+          EXPECT_EQ(p->data()[i].bits(), half(p->init_value(i)).bits())
+              << mode.name << " " << p->name() << "[" << i << "]";
+        }
+        coord.release(p, /*force=*/true);
+        EXPECT_EQ(res.gpu().used(), before);
+      }
+    });
+  }
 }
 
 TEST_F(CoordinatorTest, ReleaseReturnsArenaMemory) {

@@ -84,15 +84,15 @@ TEST(Edge, GenerationRejectsBadArguments) {
   EXPECT_THROW(model.generate_greedy(prompt, 2), Error);  // length < prompt
 }
 
-TEST(Edge, LocalParamStoreRefreshRoundtrips) {
+TEST(Edge, LocalParamStoreComputesFromFp16) {
   Linear lin("lin", 4, 4);
   lin.finalize();
   LocalParamStore store(lin);
   Parameter* w = lin.weight();
-  // Mutate fp16, refresh, fp32 compute copy follows.
+  // The fp16 weights are the compute tensor: a write is what compute reads.
   store.fp16(w).set(0, 2.5f);
-  store.refresh_full_from_fp16();
-  EXPECT_EQ(w->full_tensor().get(0), 2.5f);
+  EXPECT_EQ(&store.fp16(w), &w->full_tensor());
+  EXPECT_EQ(w->data()[0].to_float(), 2.5f);
   // Grad zeroing really zeroes.
   w->grad_tensor().set(3, 7.0f);
   store.zero_grads();

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "common/half.hpp"
 #include "core/engine.hpp"
 #include "model/local_store.hpp"
 #include "model/gpt.hpp"
@@ -63,14 +64,18 @@ TEST(MlpNet, GradCheckThroughWholeNetwork) {
   for (Parameter* p : net.all_parameters()) {
     const std::int64_t stride = std::max<std::int64_t>(1, p->numel() / 5);
     for (std::int64_t i = 0; i < p->numel(); i += stride) {
-      float* data = p->full_tensor().data<float>();
-      const float save = data[i];
-      data[i] = save + eps;
+      // fp16 parameters: step to the nearest representable values and
+      // divide by the realized difference.
+      Tensor& data = p->full_tensor();
+      const float save = data.get(i);
+      data.set(i, save + eps);
+      const double up_at = data.get(i);
       const double up = net.forward_loss(inputs, targets);
-      data[i] = save - eps;
+      data.set(i, save - eps);
+      const double down_at = data.get(i);
       const double down = net.forward_loss(inputs, targets);
-      data[i] = save;
-      const double numeric = (up - down) / (2.0 * eps);
+      data.set(i, save);
+      const double numeric = (up - down) / (up_at - down_at);
       const double analytic = p->grad_tensor().get(i);
       const double denom =
           std::max({std::fabs(numeric), std::fabs(analytic), 0.05});
@@ -164,8 +169,12 @@ TEST(GptGeneration, LearnsAndReproducesAPeriodicSequence) {
   }
   AdamConfig adam;
   adam.lr = 1e-2f;
-  std::vector<std::vector<float>> m, v;
+  // Mixed precision, as in the engines: Adam updates fp32 masters, and the
+  // fp16 compute tensors take the rounded result.
+  std::vector<std::vector<float>> master, m, v;
   for (Parameter* p : model.all_parameters()) {
+    master.emplace_back(static_cast<std::size_t>(p->numel()));
+    halves_to_floats(p->full_tensor().span<half>(), master.back());
     m.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
     v.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
   }
@@ -176,8 +185,9 @@ TEST(GptGeneration, LearnsAndReproducesAPeriodicSequence) {
     const auto params = model.all_parameters();
     for (std::size_t k = 0; k < params.size(); ++k) {
       Parameter* p = params[k];
-      oracle::adam_step(adam, s, p->full_tensor().span<float>(), m[k], v[k],
+      oracle::adam_step(adam, s, master[k], m[k], v[k],
                         p->grad_tensor().span<float>());
+      floats_to_halves(master[k], p->full_tensor().span<half>());
     }
   }
 

@@ -195,14 +195,18 @@ void module_gradcheck(Module& mod, LocalParamStore& store, Tensor input,
   for (Parameter* p : mod.all_parameters()) {
     const std::int64_t stride = std::max<std::int64_t>(1, p->numel() / 7);
     for (std::int64_t i = 0; i < p->numel(); i += stride) {
-      float* data = p->full_tensor().data<float>();
-      const float save = data[i];
-      data[i] = save + eps;
+      // fp16 parameters: step to the nearest representable values and
+      // divide by the realized difference.
+      Tensor& data = p->full_tensor();
+      const float save = data.get(i);
+      data.set(i, save + eps);
+      const double up_at = data.get(i);
       const double up = loss(input);
-      data[i] = save - eps;
+      data.set(i, save - eps);
+      const double down_at = data.get(i);
       const double down = loss(input);
-      data[i] = save;
-      const double numeric = (up - down) / (2.0 * eps);
+      data.set(i, save);
+      const double numeric = (up - down) / (up_at - down_at);
       const double analytic = p->grad_tensor().get(i);
       const double denom =
           std::max({std::fabs(numeric), std::fabs(analytic), 1.0});
@@ -256,14 +260,18 @@ TEST(GptGrad, LossGradientMatchesNumeric) {
   for (Parameter* p : model.all_parameters()) {
     const std::int64_t stride = std::max<std::int64_t>(1, p->numel() / 5);
     for (std::int64_t i = 0; i < p->numel(); i += stride) {
-      float* data = p->full_tensor().data<float>();
-      const float save = data[i];
-      data[i] = save + eps;
+      // fp16 parameters: step to the nearest representable values and
+      // divide by the realized difference.
+      Tensor& data = p->full_tensor();
+      const float save = data.get(i);
+      data.set(i, save + eps);
+      const double up_at = data.get(i);
       const double up = model.forward_loss(tokens, targets);
-      data[i] = save - eps;
+      data.set(i, save - eps);
+      const double down_at = data.get(i);
       const double down = model.forward_loss(tokens, targets);
-      data[i] = save;
-      const double numeric = (up - down) / (2.0 * eps);
+      data.set(i, save);
+      const double numeric = (up - down) / (up_at - down_at);
       const double analytic = p->grad_tensor().get(i);
       const double denom =
           std::max({std::fabs(numeric), std::fabs(analytic), 0.05});

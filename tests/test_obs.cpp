@@ -259,6 +259,43 @@ TEST_F(ObsTest, MetricsSinkWritesOneJsonLinePerStep) {
   EXPECT_EQ(lines, 3);  // one report per (step, rank)
 }
 
+// A ZeRO-3 step keeps every GPU byte in the device arena (gathered fp16
+// parameters, fp32 gradient buffers) and none in the accountant, so the
+// report's GPU fields must come from the arena.
+TEST_F(ObsTest, Zero3StepReportsTheArenaGpuPeak) {
+  const std::string path = (dir_ / "gpu_peak.jsonl").string();
+  MetricsSink::instance().open(path);
+  const GptConfig mc = tiny_model();
+  EngineConfig cfg = preset_zero3();
+  cfg.nvme_dir = (dir_ / "gpu_peak").string();
+  std::uint64_t arena_peak = 0;
+  std::uint64_t arena_used = 0;
+  AioEngine aio;
+  run_ranks(1, [&](Communicator& comm) {
+    Gpt model(mc);
+    ZeroEngine engine(model, comm, aio, cfg);
+    std::vector<std::int32_t> tokens(static_cast<std::size_t>(mc.seq), 1);
+    std::vector<std::int32_t> targets(tokens.size(), 2);
+    engine.train_step(tokens, targets);
+    arena_peak = engine.resources().gpu().stats().peak_used;
+    arena_used = engine.resources().gpu().used();
+  });
+  MetricsSink::instance().close();
+
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  auto field = [&line](const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::stoull(line.substr(at + key.size() + 3));
+  };
+  EXPECT_GT(arena_peak, 0u);
+  EXPECT_EQ(field("gpu_peak"), arena_peak);
+  EXPECT_EQ(field("gpu_used"), arena_used);
+  EXPECT_EQ(line.find("\"arena_peak\""), std::string::npos);
+}
+
 TEST_F(ObsTest, StepReportJsonLineIsSelfContained) {
   StepReport r;
   r.step = 7;

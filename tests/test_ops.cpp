@@ -60,6 +60,40 @@ void expect_grad_close(double analytic, double numeric, double tol,
       << " numeric=" << numeric;
 }
 
+std::vector<half> to_halves(const std::vector<float>& v) {
+  std::vector<half> h(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) h[i] = half(v[i]);
+  return h;
+}
+
+std::vector<float> widen(const std::vector<half>& h) {
+  std::vector<float> v(h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) v[i] = h[i].to_float();
+  return v;
+}
+
+// Central-difference gradient w.r.t. an fp16 parameter entry: the step is
+// whatever fp16 represents nearest to +-eps, so divide by the realized
+// difference.
+double numeric_grad_half(std::vector<half>& x, std::size_t i,
+                         const std::function<double()>& loss,
+                         float eps = 1e-2f) {
+  const half save = x[i];
+  x[i] = half(save.to_float() + eps);
+  const double up_at = x[i].to_float();
+  const double up = loss();
+  x[i] = half(save.to_float() - eps);
+  const double down_at = x[i].to_float();
+  const double down = loss();
+  x[i] = save;
+  return (up - down) / (up_at - down_at);
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 // ---------------------------------------------------------------------------
 // GEMM. The tiled kernels must reproduce these plain scalar loops bit for
 // bit: every C element sums over p in ascending order with a separate
@@ -198,6 +232,105 @@ TEST(Gemm, BitIdenticalToScalarLoops) {
   }
 }
 
+// fp16 B operands: halves with +-0, subnormals (random sign and payload)
+// and, with `with_inf`, +-inf mixed into rounded normals.
+std::vector<half> half_operand(std::size_t n, std::uint64_t stream,
+                               bool with_inf) {
+  const auto v = randn(n, stream);
+  Rng pick(98, stream);
+  std::vector<half> h(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto sign = static_cast<std::uint16_t>(pick.next_below(2) << 15);
+    switch (pick.next_below(with_inf ? 24 : 16)) {
+      case 0: h[i] = half::from_bits(0x0000); break;
+      case 1: h[i] = half::from_bits(0x8000); break;
+      case 2:
+      case 3:
+        h[i] = half::from_bits(static_cast<std::uint16_t>(
+            sign | (1 + pick.next_below(0x3FF))));
+        break;
+      case 16: h[i] = half::from_bits(0x7C00); break;
+      case 17: h[i] = half::from_bits(0xFC00); break;
+      default: h[i] = half(v[i]); break;
+    }
+  }
+  return h;
+}
+
+using HalfGemmFn = void (*)(const float*, const half*, float*, i64, i64, i64,
+                            float, float);
+
+// Runs the fp16-B form and the scalar oracle on the widened B; counts C
+// elements whose bits differ.
+int half_gemm_mismatches(HalfGemmFn fn, GemmFn oracle, i64 m, i64 k, i64 n,
+                         float alpha, float beta, bool with_inf,
+                         std::uint64_t stream) {
+  const auto a = operand(static_cast<std::size_t>(m * k), stream, with_inf);
+  const auto b = half_operand(static_cast<std::size_t>(k * n), stream + 1,
+                              with_inf);
+  std::vector<float> wide(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) wide[i] = b[i].to_float();
+  auto got = operand(static_cast<std::size_t>(m * n), stream + 2, with_inf);
+  auto want = got;
+  fn(a.data(), b.data(), got.data(), m, k, n, alpha, beta);
+  oracle(a.data(), wide.data(), want.data(), m, k, n, alpha, beta);
+  int bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    bad += std::bit_cast<std::uint32_t>(got[i]) !=
+           std::bit_cast<std::uint32_t>(want[i]);
+  }
+  return bad;
+}
+
+// The fp16-B forms over every row count up to two tiles plus one, every
+// column tail of the 8-wide strip up to two strips plus one, k tails around
+// the 4-wide transpose block, and every alpha/beta form.
+TEST(Gemm, HalfBBitIdenticalToScalarLoopsOnWidenedB) {
+  struct Variant {
+    const char* name;
+    HalfGemmFn fn;
+    GemmFn oracle;
+  };
+  const Variant variants[] = {{"gemm", gemm, oracle_gemm},
+                              {"gemm_nt", gemm_nt, oracle_gemm_nt}};
+  const i64 depths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 33};
+  const std::pair<float, float> scales[] = {
+      {1.0f, 0.0f}, {0.5f, 1.0f}, {0.25f, 0.5f}, {-1.0f, 0.0f}};
+  std::uint64_t stream = 1u << 20;
+  for (const Variant& v : variants) {
+    for (i64 m = 1; m <= 9; ++m) {
+      for (i64 n = 1; n <= 17; ++n) {
+        for (const i64 k : depths) {
+          for (const auto& [alpha, beta] : scales) {
+            for (const bool with_inf : {false, true}) {
+              stream += 3;
+              EXPECT_EQ(half_gemm_mismatches(v.fn, v.oracle, m, k, n, alpha,
+                                             beta, with_inf, stream),
+                        0)
+                  << v.name << " m=" << m << " k=" << k << " n=" << n
+                  << " alpha=" << alpha << " beta=" << beta
+                  << " inf=" << with_inf;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The serving and training layer shapes.
+  for (const Variant& v : variants) {
+    for (const i64 m : {1, 8, 16, 64}) {
+      for (const auto& [k, n] : {std::pair<i64, i64>{128, 384},
+                                 {128, 512}, {512, 128}, {128, 256}}) {
+        stream += 3;
+        EXPECT_EQ(half_gemm_mismatches(v.fn, v.oracle, m, k, n, 1.0f, 0.0f,
+                                       false, stream),
+                  0)
+            << v.name << " m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
 // gemm and gemm_tn skip a term whose alpha*a is zero, so 0 * inf never
 // reaches C; gemm_nt multiplies every term and turns it into NaN.
 TEST(Gemm, ZeroTimesInfSkippedExceptInNt) {
@@ -232,13 +365,13 @@ TEST(Gemm, ZeroTimesInfSkippedExceptInNt) {
 }
 
 // ---------------------------------------------------------------------------
-// Linear: full gradient check on x, W, bias.
+// Linear: full gradient check on x and the fp16 W and bias.
 
 TEST(Linear, GradCheck) {
   const i64 batch = 3, in = 4, out = 5;
   auto x = randn(static_cast<std::size_t>(batch * in), 10);
-  auto w = randn(static_cast<std::size_t>(in * out), 11);
-  auto bias = randn(static_cast<std::size_t>(out), 12);
+  auto w = to_halves(randn(static_cast<std::size_t>(in * out), 11));
+  auto bias = to_halves(randn(static_cast<std::size_t>(out), 12));
   const auto lw = loss_weights(static_cast<std::size_t>(batch * out));
 
   auto loss = [&] {
@@ -258,17 +391,18 @@ TEST(Linear, GradCheck) {
     expect_grad_close(dx[i], numeric_grad(x, i, loss), 2e-2, "dx", i);
   }
   for (std::size_t i = 0; i < w.size(); ++i) {
-    expect_grad_close(dw[i], numeric_grad(w, i, loss), 2e-2, "dw", i);
+    expect_grad_close(dw[i], numeric_grad_half(w, i, loss), 2e-2, "dw", i);
   }
   for (std::size_t i = 0; i < bias.size(); ++i) {
-    expect_grad_close(dbias[i], numeric_grad(bias, i, loss), 2e-2, "dbias", i);
+    expect_grad_close(dbias[i], numeric_grad_half(bias, i, loss), 2e-2,
+                      "dbias", i);
   }
 }
 
 TEST(Linear, BackwardAccumulatesWeightGrads) {
   const i64 batch = 2, in = 3, out = 2;
   auto x = randn(static_cast<std::size_t>(batch * in), 13);
-  auto w = randn(static_cast<std::size_t>(in * out), 14);
+  auto w = to_halves(randn(static_cast<std::size_t>(in * out), 14));
   auto dy = randn(static_cast<std::size_t>(batch * out), 15);
   std::vector<float> dw1(static_cast<std::size_t>(in * out), 0.0f);
   linear_backward(x.data(), w.data(), dy.data(), nullptr, dw1.data(), nullptr,
@@ -278,6 +412,43 @@ TEST(Linear, BackwardAccumulatesWeightGrads) {
                   batch, in, out);
   for (std::size_t i = 0; i < dw1.size(); ++i) {
     EXPECT_NEAR(dw2[i], 2.0f * dw1[i], 1e-5f);
+  }
+}
+
+// fp16 W and bias give exactly the fp32 result on the widened parameters:
+// y = x·W + b and dx = dy·Wᵀ, bit for bit, at decode and training batches.
+TEST(Linear, Fp16ParamsMatchWidenedFp32) {
+  const i64 in = 24, out = 19;
+  std::uint64_t stream = 500;
+  for (const i64 batch : {1, 3, 8, 17}) {
+    const auto x = randn(static_cast<std::size_t>(batch * in), ++stream);
+    const auto w = half_operand(static_cast<std::size_t>(in * out), ++stream,
+                                /*with_inf=*/false);
+    const auto bias = half_operand(static_cast<std::size_t>(out), ++stream,
+                                   /*with_inf=*/false);
+    const auto dy = randn(static_cast<std::size_t>(batch * out), ++stream);
+    const auto w32 = widen(w), bias32 = widen(bias);
+
+    std::vector<float> y(static_cast<std::size_t>(batch * out));
+    linear_forward(x.data(), w.data(), bias.data(), y.data(), batch, in, out);
+    std::vector<float> want(y.size());
+    oracle_gemm(x.data(), w32.data(), want.data(), batch, in, out, 1.0f,
+                0.0f);
+    for (i64 r = 0; r < batch; ++r) {
+      for (i64 j = 0; j < out; ++j) {
+        want[static_cast<std::size_t>(r * out + j)] +=
+            bias32[static_cast<std::size_t>(j)];
+      }
+    }
+    EXPECT_TRUE(same_bits(y, want)) << "forward batch " << batch;
+
+    std::vector<float> dx(static_cast<std::size_t>(batch * in));
+    linear_backward(x.data(), w.data(), dy.data(), dx.data(), nullptr,
+                    nullptr, batch, in, out);
+    std::vector<float> want_dx(dx.size());
+    oracle_gemm_nt(dy.data(), w32.data(), want_dx.data(), batch, out, in,
+                   1.0f, 0.0f);
+    EXPECT_TRUE(same_bits(dx, want_dx)) << "backward batch " << batch;
   }
 }
 
@@ -322,11 +493,59 @@ TEST(Gelu, BackwardAccumulateFlag) {
 // ---------------------------------------------------------------------------
 // LayerNorm
 
+// The fp32-parameter LayerNorm the fp16 kernels must reproduce on widened
+// gamma/beta.
+void oracle_layernorm_forward(const float* x, const float* gamma,
+                              const float* beta, float* y, i64 rows,
+                              i64 dim) {
+  for (i64 r = 0; r < rows; ++r) {
+    const float* xr = x + r * dim;
+    double m = 0.0;
+    for (i64 j = 0; j < dim; ++j) m += xr[j];
+    m /= static_cast<double>(dim);
+    double var = 0.0;
+    for (i64 j = 0; j < dim; ++j) {
+      const double d = xr[j] - m;
+      var += d * d;
+    }
+    var /= static_cast<double>(dim);
+    const float rs = 1.0f / std::sqrt(static_cast<float>(var) + 1e-5f);
+    for (i64 j = 0; j < dim; ++j) {
+      const float norm = (xr[j] - static_cast<float>(m)) * rs;
+      y[r * dim + j] = norm * gamma[j] + beta[j];
+    }
+  }
+}
+
+void oracle_layernorm_backward_dx(const float* x, const float* gamma,
+                                  const float* mean, const float* rstd,
+                                  const float* dy, float* dx, i64 rows,
+                                  i64 dim) {
+  for (i64 r = 0; r < rows; ++r) {
+    const float* xr = x + r * dim;
+    const float* dyr = dy + r * dim;
+    double sum_dy_g = 0.0, sum_dy_g_xhat = 0.0;
+    for (i64 j = 0; j < dim; ++j) {
+      const float xhat = (xr[j] - mean[r]) * rstd[r];
+      const float dyg = dyr[j] * gamma[j];
+      sum_dy_g += dyg;
+      sum_dy_g_xhat += static_cast<double>(dyg) * xhat;
+    }
+    const float c1 = static_cast<float>(sum_dy_g / static_cast<double>(dim));
+    const float c2 =
+        static_cast<float>(sum_dy_g_xhat / static_cast<double>(dim));
+    for (i64 j = 0; j < dim; ++j) {
+      const float xhat = (xr[j] - mean[r]) * rstd[r];
+      dx[r * dim + j] = rstd[r] * (dyr[j] * gamma[j] - c1 - xhat * c2);
+    }
+  }
+}
+
 TEST(LayerNorm, NormalizesRows) {
   const i64 rows = 3, dim = 8;
   auto x = randn(static_cast<std::size_t>(rows * dim), 30);
-  std::vector<float> gamma(static_cast<std::size_t>(dim), 1.0f);
-  std::vector<float> beta(static_cast<std::size_t>(dim), 0.0f);
+  std::vector<half> gamma(static_cast<std::size_t>(dim), half(1.0f));
+  std::vector<half> beta(static_cast<std::size_t>(dim), half(0.0f));
   std::vector<float> y(static_cast<std::size_t>(rows * dim));
   std::vector<float> mean(static_cast<std::size_t>(rows)), rstd(static_cast<std::size_t>(rows));
   layernorm_forward(x.data(), gamma.data(), beta.data(), y.data(), mean.data(),
@@ -348,8 +567,8 @@ TEST(LayerNorm, NormalizesRows) {
 TEST(LayerNorm, GradCheck) {
   const i64 rows = 2, dim = 6;
   auto x = randn(static_cast<std::size_t>(rows * dim), 31);
-  auto gamma = randn(static_cast<std::size_t>(dim), 32);
-  auto beta = randn(static_cast<std::size_t>(dim), 33);
+  auto gamma = to_halves(randn(static_cast<std::size_t>(dim), 32));
+  auto beta = to_halves(randn(static_cast<std::size_t>(dim), 33));
   const auto lw = loss_weights(static_cast<std::size_t>(rows * dim));
 
   auto loss = [&] {
@@ -375,11 +594,41 @@ TEST(LayerNorm, GradCheck) {
     expect_grad_close(dx[i], numeric_grad(x, i, loss), 3e-2, "ln dx", i);
   }
   for (std::size_t i = 0; i < gamma.size(); ++i) {
-    expect_grad_close(dgamma[i], numeric_grad(gamma, i, loss), 3e-2, "ln dgamma", i);
+    expect_grad_close(dgamma[i], numeric_grad_half(gamma, i, loss), 3e-2,
+                      "ln dgamma", i);
   }
   for (std::size_t i = 0; i < beta.size(); ++i) {
-    expect_grad_close(dbeta[i], numeric_grad(beta, i, loss), 3e-2, "ln dbeta", i);
+    expect_grad_close(dbeta[i], numeric_grad_half(beta, i, loss), 3e-2,
+                      "ln dbeta", i);
   }
+}
+
+// fp16 gamma/beta give exactly the fp32-parameter result on the widened
+// values, forward and backward.
+TEST(LayerNorm, Fp16ParamsMatchWidenedFp32) {
+  const i64 rows = 5, dim = 37;
+  const auto x = randn(static_cast<std::size_t>(rows * dim), 34);
+  const auto dy = randn(x.size(), 35);
+  const auto gamma = half_operand(static_cast<std::size_t>(dim), 36, false);
+  const auto beta = half_operand(static_cast<std::size_t>(dim), 37, false);
+  const auto gamma32 = widen(gamma), beta32 = widen(beta);
+
+  std::vector<float> y(x.size()), want(x.size());
+  std::vector<float> mean(static_cast<std::size_t>(rows));
+  std::vector<float> rstd(mean.size());
+  layernorm_forward(x.data(), gamma.data(), beta.data(), y.data(), mean.data(),
+                    rstd.data(), rows, dim);
+  oracle_layernorm_forward(x.data(), gamma32.data(), beta32.data(),
+                           want.data(), rows, dim);
+  EXPECT_TRUE(same_bits(y, want));
+
+  std::vector<float> dx(x.size()), want_dx(x.size());
+  layernorm_backward(x.data(), gamma.data(), mean.data(), rstd.data(),
+                     dy.data(), dx.data(), nullptr, nullptr, rows, dim);
+  oracle_layernorm_backward_dx(x.data(), gamma32.data(), mean.data(),
+                               rstd.data(), dy.data(), want_dx.data(), rows,
+                               dim);
+  EXPECT_TRUE(same_bits(dx, want_dx));
 }
 
 // ---------------------------------------------------------------------------
@@ -452,14 +701,37 @@ TEST(Softmax, CausalMask) {
 
 TEST(Embedding, ForwardGathersRows) {
   const i64 vocab = 5, dim = 3;
-  std::vector<float> table(static_cast<std::size_t>(vocab * dim));
-  for (std::size_t i = 0; i < table.size(); ++i) table[i] = static_cast<float>(i);
+  std::vector<half> table(static_cast<std::size_t>(vocab * dim));
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = half(static_cast<float>(i));
+  }
   const std::int32_t ids[] = {4, 0, 2};
   std::vector<float> y(9);
   embedding_forward(table.data(), ids, y.data(), 3, dim);
   EXPECT_EQ(y[0], 12.0f);  // row 4 starts at 4*3
   EXPECT_EQ(y[3], 0.0f);   // row 0
   EXPECT_EQ(y[6], 6.0f);   // row 2
+}
+
+// An fp16 table row is widened exactly (subnormals and +-0 included), for
+// row widths on and off the 8-lane conversion grid.
+TEST(Embedding, Fp16TableMatchesWidenedRows) {
+  const i64 vocab = 6;
+  for (const i64 dim : {1, 7, 8, 13, 16}) {
+    const auto table = half_operand(static_cast<std::size_t>(vocab * dim),
+                                    static_cast<std::uint64_t>(60 + dim),
+                                    /*with_inf=*/true);
+    const auto table32 = widen(table);
+    const std::int32_t ids[] = {5, 0, 3, 3, 1};
+    std::vector<float> y(static_cast<std::size_t>(5 * dim));
+    embedding_forward(table.data(), ids, y.data(), 5, dim);
+    std::vector<float> want;
+    for (const std::int32_t id : ids) {
+      want.insert(want.end(), table32.begin() + id * dim,
+                  table32.begin() + (id + 1) * dim);
+    }
+    EXPECT_TRUE(same_bits(y, want)) << "dim " << dim;
+  }
 }
 
 TEST(Embedding, BackwardScatterAddsWithRepeats) {

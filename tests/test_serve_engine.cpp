@@ -9,14 +9,16 @@
 // — batching, KV tiering, and admission order never change values.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
-#include "serve/serve_engine.hpp"
 #include "model/gpt.hpp"
+#include "model/local_store.hpp"
+#include "serve/serve_engine.hpp"
 
 namespace zi {
 namespace {
@@ -57,6 +59,8 @@ struct ServeOutcome {
   std::vector<RequestReport> request_reports;
   std::uint64_t kv_fetch_bytes = 0;
   std::uint64_t kv_spill_bytes = 0;
+  std::uint64_t kv_fetches = 0;  // KV transfers per route
+  std::uint64_t kv_spills = 0;
   std::uint64_t param_fetch_bytes = 0;  // NVMe shard reads
 };
 
@@ -92,6 +96,8 @@ ServeOutcome run_serve(int world, int max_batch, Placement params,
       const auto st = eng.resources().mover().stats();
       out.kv_fetch_bytes = st.route(Route::kKvFetch).bytes;
       out.kv_spill_bytes = st.route(Route::kKvSpill).bytes;
+      out.kv_fetches = st.route(Route::kKvFetch).transfers;
+      out.kv_spills = st.route(Route::kKvSpill).transfers;
       out.param_fetch_bytes = st.route(Route::kNvmeFetch).bytes;
     }
   });
@@ -177,6 +183,151 @@ TEST_F(ServeEngineTest, KvTiersProduceIdenticalTokenStreams) {
   EXPECT_GT(nvme.kv_fetch_bytes, 0u);
   EXPECT_EQ(all_gpu.param_fetch_bytes, 0u);
   EXPECT_GT(nvme.param_fetch_bytes, 0u);
+}
+
+// Stacked decode ≡ per-slot decode: every slot's rows share one matrix per
+// layer, so the batch composition changes every step (prefills admitted
+// next to decodes as slots free up), yet each request's tokens and every
+// KV transfer match the one-request-at-a-time run, on every KV tier.
+TEST_F(ServeEngineTest, StackedDecodeMatchesOneSlotAtATime) {
+  // Staggered arrivals admit prefills next to running decodes.
+  std::vector<ServeRequest> reqs = make_requests(10);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].arrival_seconds = 0.0005 * static_cast<double>(i);
+  }
+  // True if some request was admitted after another had its first token
+  // but before that one finished: one step then held a prefill and a
+  // decode.
+  auto mixed = [](const std::vector<RequestReport>& reports,
+                  const std::vector<ServeRequest>& requests) {
+    std::vector<double> admit, first, end;
+    for (const RequestReport& r : reports) {
+      const double a =
+          requests[static_cast<std::size_t>(r.request_id)].arrival_seconds +
+          r.queue_seconds;
+      admit.push_back(a);
+      first.push_back(a + r.prefill_seconds);
+      end.push_back(a + r.prefill_seconds + r.decode_seconds);
+    }
+    for (std::size_t i = 0; i < admit.size(); ++i) {
+      for (std::size_t j = 0; j < admit.size(); ++j) {
+        if (admit[j] > first[i] && admit[j] < end[i]) return true;
+      }
+    }
+    return false;
+  };
+  for (const KvTier tier : {KvTier::kGpu, KvTier::kCpu, KvTier::kNvme}) {
+    const ServeOutcome single =
+        run_serve(2, 1, Placement::kNvme, tier, reqs, dir_, "");
+    ASSERT_EQ(single.tokens.size(), reqs.size());
+    for (const int max_batch : {3, 8}) {
+      const ServeOutcome stacked =
+          run_serve(2, max_batch, Placement::kNvme, tier, reqs, dir_, "");
+      const std::string what =
+          std::string(kv_tier_name(tier)) + " max_batch " +
+          std::to_string(max_batch);
+      EXPECT_TRUE(mixed(stacked.request_reports, reqs)) << what;
+      EXPECT_EQ(stacked.tokens, single.tokens) << what;
+      EXPECT_EQ(stacked.kv_fetches, single.kv_fetches) << what;
+      EXPECT_EQ(stacked.kv_spills, single.kv_spills) << what;
+      EXPECT_EQ(stacked.kv_fetch_bytes, single.kv_fetch_bytes) << what;
+      EXPECT_EQ(stacked.kv_spill_bytes, single.kv_spill_bytes) << what;
+    }
+  }
+}
+
+// The model contract under the engine: one decode_layer call over stacked
+// segments (a prefill between two decodes) produces the same rows, the
+// same appended K/V rows and the same acquire/release sequence as one call
+// per segment, bit for bit.
+TEST(StackedDecode, LayerOutputsAndKvMatchPerSegmentCalls) {
+  const GptConfig cfg = serve_model();
+  Gpt model(cfg);
+  LocalParamStore store(model);
+  const std::int64_t dim = model.kv_dim();
+  const auto slot_floats = static_cast<std::size_t>(cfg.layers * cfg.seq * dim);
+
+  // Per-slot K and V caches for every layer; acquire/release are logged.
+  struct Caches final : KvLender {
+    std::vector<std::vector<float>> k, v;
+    std::vector<int> slot_of;  // segment -> slot
+    std::int64_t layer = 0, seq = 0, dim = 0;
+    std::vector<std::string> log;
+    KvLayerView acquire(std::size_t s) override {
+      log.push_back("acquire " + std::to_string(slot_of[s]));
+      const std::size_t off = static_cast<std::size_t>(layer * seq * dim);
+      return {k[static_cast<std::size_t>(slot_of[s])].data() + off,
+              v[static_cast<std::size_t>(slot_of[s])].data() + off};
+    }
+    void release(std::size_t s) override {
+      log.push_back("release " + std::to_string(slot_of[s]));
+    }
+  };
+  Caches stacked;
+  stacked.k.assign(3, std::vector<float>(slot_floats, 0.0f));
+  stacked.v = stacked.k;
+  stacked.seq = cfg.seq;
+  stacked.dim = dim;
+
+  // Slots 0 and 2 hold earlier context (prompts of 4 and 6 rows).
+  const std::vector<std::int32_t> ctx0 = {3, 1, 4, 1};
+  const std::vector<std::int32_t> ctx2 = {2, 7, 1, 8, 2, 8};
+  for (const auto& [slot, ctx] :
+       {std::pair<int, const std::vector<std::int32_t>*>{0, &ctx0},
+        {2, &ctx2}}) {
+    const DecodeSegment seg{static_cast<std::int64_t>(ctx->size()), 0};
+    stacked.slot_of = {slot};
+    Tensor x = model.embed_rows(*ctx, {&seg, 1});
+    for (std::int64_t l = 0; l < cfg.layers; ++l) {
+      stacked.layer = l;
+      x = model.decode_layer(l, x, {&seg, 1}, stacked);
+    }
+  }
+  Caches per_segment = stacked;
+  stacked.log.clear();
+  per_segment.log.clear();
+
+  // This step: slot 0 decodes at 4, slot 1 prefills 5 rows, slot 2
+  // decodes at 6.
+  const std::vector<DecodeSegment> segs = {{1, 4}, {5, 0}, {1, 6}};
+  const std::vector<std::int32_t> tokens = {5, 9, 2, 6, 5, 3, 9};
+  stacked.slot_of = {0, 1, 2};
+  Tensor x = model.embed_rows(tokens, segs);
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    stacked.layer = l;
+    x = model.decode_layer(l, x, segs, stacked);
+  }
+
+  std::int64_t row0 = 0;
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    per_segment.slot_of = {static_cast<int>(s)};
+    const std::span<const std::int32_t> seg_tokens(
+        tokens.data() + row0, static_cast<std::size_t>(segs[s].rows));
+    Tensor xs = model.embed_rows(seg_tokens, {&segs[s], 1});
+    for (std::int64_t l = 0; l < cfg.layers; ++l) {
+      per_segment.layer = l;
+      xs = model.decode_layer(l, xs, {&segs[s], 1}, per_segment);
+    }
+    EXPECT_EQ(std::memcmp(xs.data<float>(), x.data<float>() + row0 * dim,
+                          xs.nbytes()),
+              0)
+        << "segment " << s;
+    row0 += segs[s].rows;
+  }
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(stacked.k[slot], per_segment.k[slot]) << "K of slot " << slot;
+    EXPECT_EQ(stacked.v[slot], per_segment.v[slot]) << "V of slot " << slot;
+  }
+  // Per layer, the stacked call pages the slots in slot order, each
+  // released before the next is acquired.
+  std::vector<std::string> want;
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    for (int slot = 0; slot < 3; ++slot) {
+      want.push_back("acquire " + std::to_string(slot));
+      want.push_back("release " + std::to_string(slot));
+    }
+  }
+  EXPECT_EQ(stacked.log, want);
 }
 
 // Incremental KV decode == full-window recompute, request by request.

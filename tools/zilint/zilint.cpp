@@ -4,7 +4,18 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+// GCC 12 with -fsanitize=address warns -Wmaybe-uninitialized inside the
+// libstdc++ regex automaton (std::function members of its _State), a
+// false positive in library code that breaks -Werror builds. Silence it
+// for the library headers only; this file's own code keeps the warning.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #include <sstream>
 
 namespace zilint {
