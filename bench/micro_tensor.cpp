@@ -4,9 +4,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <vector>
 
 #include "common/half.hpp"
+#include "common/kernel_tier.hpp"
 #include "common/rng.hpp"
 #include "optim/adam.hpp"
 #include "scalar_oracles.hpp"
@@ -38,13 +41,45 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
-// The GEMM family at the shapes zi_bench's workloads run (hidden 128,
-// vocab 256, 64 tokens per rank step, serving head size 32).
+// The benchmarks below take the kernel tier as their first argument: 0 runs
+// the SSE2 tier (through the test seam), 1 the AVX2+F16C tier, which is
+// skipped on a CPU without it. Each shape runs in both tiers back to back.
+class Tier {
+ public:
+  explicit Tier(benchmark::State& state) {
+    if (state.range(0) == 0) {
+      sse2_.emplace();
+    } else if (!cpu_has_avx2_f16c()) {
+      state.SkipWithError("this CPU lacks AVX2 or F16C");
+    }
+  }
+
+ private:
+  std::optional<test_seam::ScopedSse2Tier> sse2_;
+};
+
+// Registers `shapes` (argument lists after the tier) once per tier.
+void in_both_tiers(benchmark::internal::Benchmark* b,
+                   std::initializer_list<std::vector<std::int64_t>> shapes) {
+  for (const auto& shape : shapes) {
+    for (const std::int64_t tier : {0, 1}) {
+      std::vector<std::int64_t> args = {tier};
+      args.insert(args.end(), shape.begin(), shape.end());
+      b->Args(args);
+    }
+  }
+}
+
+// The GEMM family at the shapes zi_bench's workloads run: training at
+// hidden 128 (64 tokens per rank step) and hidden 192 (16 tokens), vocab
+// 256, heads of 32 and 48; serving at hidden 128, decode batches 1-8,
+// head size 32, and attention over few positions (n < 16).
 using GemmFn = void (*)(const float*, const float*, float*, i64, i64, i64,
                         float, float);
 
 void run_gemm_at(benchmark::State& state, GemmFn fn) {
-  const i64 m = state.range(0), k = state.range(1), n = state.range(2);
+  const Tier tier(state);
+  const i64 m = state.range(1), k = state.range(2), n = state.range(3);
   const auto a = randn(static_cast<std::size_t>(m * k));
   const auto b = randn(static_cast<std::size_t>(k * n));
   std::vector<float> c(static_cast<std::size_t>(m * n));
@@ -57,35 +92,60 @@ void run_gemm_at(benchmark::State& state, GemmFn fn) {
       benchmark::Counter::kIsRate);
 }
 
-// C[m,n] = A[m,k] · B[k,n]: linear forward (qkv/fc1 and fc2).
+// C[m,n] = A[m,k] · B[k,n]: the fp32 gemm, attention's att·V in training
+// (16 x 16 x 32) and at decode (1 x 64 x 32, and a prefill of 8), and
+// linear-forward shapes (qkv, fc2) at training and decode batches.
 void BM_GemmNN(benchmark::State& state) { run_gemm_at(state, gemm); }
 BENCHMARK(BM_GemmNN)
-    ->ArgNames({"m", "k", "n"})
-    ->Args({64, 128, 384})
-    ->Args({64, 512, 128});
+    ->ArgNames({"tier", "m", "k", "n"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      in_both_tiers(b, {{64, 128, 384},
+                        {64, 512, 128},
+                        {16, 192, 576},
+                        {1, 128, 384},
+                        {2, 128, 384},
+                        {4, 128, 384},
+                        {8, 128, 384},
+                        {16, 16, 32},
+                        {1, 64, 32},
+                        {8, 8, 32}});
+    });
 
-// C[m,n] = A[k,m]^T · B[k,n]: the weight gradient of the qkv linear.
+// C[m,n] = A[k,m]^T · B[k,n]: the qkv weight gradient at both training
+// shapes, and attention's dV.
 void BM_GemmTN(benchmark::State& state) { run_gemm_at(state, gemm_tn); }
-BENCHMARK(BM_GemmTN)->ArgNames({"m", "k", "n"})->Args({128, 64, 384});
+BENCHMARK(BM_GemmTN)
+    ->ArgNames({"tier", "m", "k", "n"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      in_both_tiers(b, {{128, 64, 384}, {192, 16, 576}, {16, 16, 32}});
+    });
 
 // C[m,n] = A[m,k] · B[n,k]^T: the tied LM head in training and at decode
-// batch 1, 2 and 8, and one head's decode attention scores.
+// batch 1, 2, 4 and 8, and attention scores: training (16 x 16), one
+// head's decode row over 64 positions, and prefills over 8 and 4.
 void BM_GemmNT(benchmark::State& state) { run_gemm_at(state, gemm_nt); }
 BENCHMARK(BM_GemmNT)
-    ->ArgNames({"m", "k", "n"})
-    ->Args({64, 128, 256})
-    ->Args({1, 128, 256})
-    ->Args({2, 128, 256})
-    ->Args({8, 128, 256})
-    ->Args({1, 32, 64});
+    ->ArgNames({"tier", "m", "k", "n"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      in_both_tiers(b, {{64, 128, 256},
+                        {1, 128, 256},
+                        {2, 128, 256},
+                        {4, 128, 256},
+                        {8, 128, 256},
+                        {16, 32, 16},
+                        {1, 32, 64},
+                        {8, 32, 8},
+                        {4, 32, 4}});
+    });
 
 // An fp16 weight (a gathered parameter) as the B operand, at decode
-// batches 1, 8 and 16 and the training batch 64: the kernel widening each
-// strip while packing it (BM_GemmHalfB) against a full widening pass
+// batches 1, 2, 4, 8 and 16 and the training batch 64: the kernel widening
+// each strip while packing it (BM_GemmHalfB) against a full widening pass
 // followed by the fp32 kernel (BM_GemmWidenThenF32), the path the gather
 // used to take. Shapes: fc1 (k 128, n 512) and fc2 (k 512, n 128).
 void run_half_b(benchmark::State& state, bool widen_first) {
-  const i64 m = state.range(0), k = state.range(1), n = state.range(2);
+  const Tier tier(state);
+  const i64 m = state.range(1), k = state.range(2), n = state.range(3);
   const auto a = randn(static_cast<std::size_t>(m * k));
   std::vector<half> b(static_cast<std::size_t>(k * n));
   floats_to_halves(randn(b.size()), b);
@@ -106,10 +166,9 @@ void run_half_b(benchmark::State& state, bool widen_first) {
 }
 
 void half_b_shapes(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"m", "k", "n"});
-  for (const i64 m : {1, 8, 16, 64}) {
-    b->Args({m, 128, 512});
-    b->Args({m, 512, 128});
+  b->ArgNames({"tier", "m", "k", "n"});
+  for (const i64 m : {1, 2, 4, 8, 16, 64}) {
+    in_both_tiers(b, {{m, 128, 512}, {m, 512, 128}});
   }
 }
 
@@ -173,8 +232,14 @@ std::vector<float> conversion_mix(std::size_t n) {
   return v;
 }
 
+void conversion_sizes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"tier", "n"});
+  in_both_tiers(b, {{1 << 14}, {1 << 18}});
+}
+
 void BM_F32ToF16(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Tier tier(state);
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   const auto f = conversion_mix(n);
   std::vector<half> h(n);
   for (auto _ : state) {
@@ -185,10 +250,11 @@ void BM_F32ToF16(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 6);
 }
-BENCHMARK(BM_F32ToF16)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_F32ToF16)->Apply(conversion_sizes);
 
 void BM_F16ToF32(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Tier tier(state);
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   std::vector<half> h(n);
   floats_to_halves(conversion_mix(n), h);
   std::vector<float> f(n);
@@ -200,7 +266,7 @@ void BM_F16ToF32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 6);
 }
-BENCHMARK(BM_F16ToF32)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_F16ToF32)->Apply(conversion_sizes);
 
 void set_elem_rate(benchmark::State& state, std::size_t n) {
   state.counters["Melem/s"] = benchmark::Counter(
@@ -229,7 +295,8 @@ BENCHMARK(BM_AdamStep)->Arg(1 << 14)->Arg(1 << 15)->Arg(1 << 18);
 
 // The product path: fp16 gradient in, fp32 state updated, fp16 out.
 void BM_FusedAdamStep(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Tier tier(state);
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   AdamConfig cfg;
   auto w = randn(n);
   std::vector<float> m(n, 0.0f), v(n, 0.0f);
@@ -243,8 +310,19 @@ void BM_FusedAdamStep(benchmark::State& state) {
   }
   set_elem_rate(state, n);
 }
-BENCHMARK(BM_FusedAdamStep)->Arg(1 << 14)->Arg(1 << 15)->Arg(1 << 18);
+BENCHMARK(BM_FusedAdamStep)
+    ->ArgNames({"tier", "n"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      in_both_tiers(b, {{1 << 14}, {1 << 15}, {1 << 18}});
+    });
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext("kernel_tier",
+                              kernel_tier_name(kernel_tier()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -5,6 +5,9 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/kernel_tier.hpp"
+
+#include <immintrin.h>
 
 namespace zi {
 
@@ -87,8 +90,12 @@ float half_bits_to_float(std::uint16_t h) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Bulk conversions. Each lane runs the integer form of the scalar routines
-// above, every case computed and the right one selected by mask:
+// Bulk conversions, in two tiers (common/kernel_tier.hpp) run by one loop
+// body per direction, eight elements per lane-kernel call, tails through a
+// zero-padded copy.
+//
+// SSE2 tier: each lane runs the integer form of the scalar routines above,
+// every case computed and the right one selected by mask:
 //   f16→f32  shift exponent and mantissa into place and rebias; Inf/NaN get
 //            the float's all-ones exponent (payload kept); subnormals are
 //            rebuilt exactly as (2^-14 + m·2^-24) − 2^-14 in float.
@@ -99,8 +106,15 @@ float half_bits_to_float(std::uint16_t h) noexcept {
 //            rebias, 0xFFF and the kept mantissa's low bit, then shift
 //            (round half to even; a carry ripples into the exponent and,
 //            past 65504, to Inf).
-// The exhaustive tests in tests/test_half.cpp hold every lane to the
-// scalar routines.
+// F16C tier: vcvtph2ps / vcvtps2ph with round to nearest even, which agree
+// with the scalar routines everywhere but on NaNs, fixed up by mask:
+//   f16→f32  F16C sets the quiet bit of a signalling NaN; the scalar routine
+//            keeps the payload as it is, so the bit is cleared again.
+//   f32→f16  F16C keeps the top of a NaN's payload; the scalar routine
+//            gives 0x7E00 with the sign, so each NaN is first replaced by
+//            the float quiet NaN of its sign, which narrows to exactly that.
+// The tests in tests/test_half.cpp and tests/test_half_exhaustive.cpp hold
+// both tiers to the scalar routines.
 
 namespace {
 
@@ -109,8 +123,6 @@ using V4 = float __attribute__((vector_size(16)));
 using I4 = std::int32_t __attribute__((vector_size(16)));
 using U4 = std::uint32_t __attribute__((vector_size(16)));
 using H8 = std::uint16_t __attribute__((vector_size(16)));
-
-constexpr std::size_t kLanes = 8;  // halves per 16-byte vector
 
 V4 halves_to_float4(I4 h) {
   const I4 shifted = (h & 0x7FFF) << 13;
@@ -142,26 +154,138 @@ I4 float4_to_halves(V4 f) {
   return mag | ((x >> 16) & 0x8000);
 }
 
-void halves_to_floats8(const half* src, float* dst) {
-  H8 h;
-  std::memcpy(&h, src, sizeof h);
-  const H8 zero{};
-  const I4 lo = std::bit_cast<I4>(
-      __builtin_shufflevector(h, zero, 0, 8, 1, 9, 2, 10, 3, 11));
-  const I4 hi = std::bit_cast<I4>(
-      __builtin_shufflevector(h, zero, 4, 12, 5, 13, 6, 14, 7, 15));
-  const V4 f[2] = {halves_to_float4(lo), halves_to_float4(hi)};
-  std::memcpy(dst, f, sizeof f);
+struct Sse2 {
+  static constexpr std::size_t kStep = 8;  // elements per loop iteration
+
+  static void widen8(const half* src, float* dst) {
+    H8 h;
+    std::memcpy(&h, src, sizeof h);
+    const H8 zero{};
+    const I4 lo = std::bit_cast<I4>(
+        __builtin_shufflevector(h, zero, 0, 8, 1, 9, 2, 10, 3, 11));
+    const I4 hi = std::bit_cast<I4>(
+        __builtin_shufflevector(h, zero, 4, 12, 5, 13, 6, 14, 7, 15));
+    const V4 f[2] = {halves_to_float4(lo), halves_to_float4(hi)};
+    std::memcpy(dst, f, sizeof f);
+  }
+
+  static void narrow8(const float* src, half* dst) {
+    V4 f[2];
+    std::memcpy(f, src, sizeof f);
+    const H8 lo = std::bit_cast<H8>(float4_to_halves(f[0]));
+    const H8 hi = std::bit_cast<H8>(float4_to_halves(f[1]));
+    const H8 h = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
+    std::memcpy(static_cast<void*>(dst), &h, sizeof h);
+  }
+};
+
+struct F16c {
+  static constexpr std::size_t kStep = 16;
+
+  [[gnu::target("avx2,f16c")]] static void widen8(const half* src,
+                                                   float* dst) {
+    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+    // Signalling NaN: all-ones exponent, quiet bit clear, payload non-zero.
+    const __m128i snan = _mm_andnot_si128(
+        _mm_cmpeq_epi16(_mm_and_si128(h, _mm_set1_epi16(0x01FF)),
+                        _mm_setzero_si128()),
+        _mm_cmpeq_epi16(_mm_and_si128(h, _mm_set1_epi16(0x7E00)),
+                        _mm_set1_epi16(0x7C00)));
+    const __m256i quiet_bit = _mm256_and_si256(
+        _mm256_cvtepi16_epi32(snan), _mm256_set1_epi32(0x00400000));
+    _mm256_storeu_ps(dst, _mm256_andnot_ps(_mm256_castsi256_ps(quiet_bit),
+                                           _mm256_cvtph_ps(h)));
+  }
+
+  [[gnu::target("avx2,f16c")]] static void narrow8(const float* src,
+                                                   half* dst) {
+    const __m256 f = _mm256_loadu_ps(src);
+    const __m256 sign = _mm256_and_ps(f, _mm256_set1_ps(-0.0f));
+    const __m256 quiet_nan = _mm256_or_ps(
+        sign, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FC00000)));
+    const __m256 is_nan = _mm256_cmp_ps(f, f, _CMP_UNORD_Q);
+    const __m128i h =
+        _mm256_cvtps_ph(_mm256_blendv_ps(f, quiet_nan, is_nan),
+                        _MM_FROUND_TO_NEAREST_INT);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), h);
+  }
+};
+
+template <class T>
+void widen_step(const half* src, float* dst) {
+  for (std::size_t c = 0; c < T::kStep; c += 8) T::widen8(src + c, dst + c);
 }
 
-void floats_to_halves8(const float* src, half* dst) {
-  V4 f[2];
-  std::memcpy(f, src, sizeof f);
-  const H8 lo = std::bit_cast<H8>(float4_to_halves(f[0]));
-  const H8 hi = std::bit_cast<H8>(float4_to_halves(f[1]));
-  const H8 h = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
-  std::memcpy(static_cast<void*>(dst), &h, sizeof h);
+template <class T>
+void narrow_step(const float* src, half* dst) {
+  for (std::size_t c = 0; c < T::kStep; c += 8) T::narrow8(src + c, dst + c);
 }
+
+template <class T>
+void widen(const half* src, float* dst, std::size_t n) {
+  const std::size_t full = n - n % T::kStep;
+  for (std::size_t i = 0; i < full; i += T::kStep) {
+    widen_step<T>(src + i, dst + i);
+  }
+  if (full == n) return;
+  half in[T::kStep] = {};
+  float out[T::kStep];
+  std::memcpy(static_cast<void*>(in), src + full, (n - full) * sizeof(half));
+  widen_step<T>(in, out);
+  std::memcpy(dst + full, out, (n - full) * sizeof(float));
+}
+
+template <class T>
+void narrow(const float* src, half* dst, std::size_t n) {
+  const std::size_t full = n - n % T::kStep;
+  for (std::size_t i = 0; i < full; i += T::kStep) {
+    narrow_step<T>(src + i, dst + i);
+  }
+  if (full == n) return;
+  float in[T::kStep] = {};
+  half out[T::kStep];
+  std::memcpy(in, src + full, (n - full) * sizeof(float));
+  narrow_step<T>(in, out);
+  std::memcpy(static_cast<void*>(dst + full), out, (n - full) * sizeof(half));
+}
+
+template <class T>
+void widen_strided(const half* src, std::size_t stride, std::size_t width,
+                   std::size_t rows, float* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < width; c += 8) {
+      T::widen8(src + r * stride + c, dst + r * width + c);
+    }
+  }
+}
+
+void widen_sse2(const half* src, float* dst, std::size_t n) {
+  widen<Sse2>(src, dst, n);
+}
+[[gnu::target("avx2,f16c"), gnu::flatten]] void widen_f16c(
+    const half* src, float* dst, std::size_t n) {
+  widen<F16c>(src, dst, n);
+}
+
+void narrow_sse2(const float* src, half* dst, std::size_t n) {
+  narrow<Sse2>(src, dst, n);
+}
+[[gnu::target("avx2,f16c"), gnu::flatten]] void narrow_f16c(
+    const float* src, half* dst, std::size_t n) {
+  narrow<F16c>(src, dst, n);
+}
+
+void widen_strided_sse2(const half* src, std::size_t stride,
+                        std::size_t width, std::size_t rows, float* dst) {
+  widen_strided<Sse2>(src, stride, width, rows, dst);
+}
+[[gnu::target("avx2,f16c"), gnu::flatten]] void widen_strided_f16c(
+    const half* src, std::size_t stride, std::size_t width, std::size_t rows,
+    float* dst) {
+  widen_strided<F16c>(src, stride, width, rows, dst);
+}
+
+bool wide() noexcept { return kernel_tier() == KernelTier::kAvx2F16c; }
 
 }  // namespace
 
@@ -169,47 +293,25 @@ void halves_to_floats(std::span<const half> src, std::span<float> dst) {
   ZI_CHECK_MSG(src.size() == dst.size(), "halves_to_floats: "
                                              << src.size() << " halves into "
                                              << dst.size() << " floats");
-  const std::size_t n = src.size();
-  const std::size_t full = n - n % kLanes;
-  for (std::size_t i = 0; i < full; i += kLanes) {
-    halves_to_floats8(src.data() + i, dst.data() + i);
-  }
-  if (full == n) return;
-  // Tail: the same kernel over a zero-padded copy.
-  half in[kLanes] = {};
-  float out[kLanes] = {};
-  std::memcpy(static_cast<void*>(in), src.data() + full,
-              (n - full) * sizeof(half));
-  halves_to_floats8(in, out);
-  std::memcpy(dst.data() + full, out, (n - full) * sizeof(float));
+  (wide() ? widen_f16c : widen_sse2)(src.data(), dst.data(), src.size());
 }
 
 void floats_to_halves(std::span<const float> src, std::span<half> dst) {
   ZI_CHECK_MSG(src.size() == dst.size(), "floats_to_halves: "
                                              << src.size() << " floats into "
                                              << dst.size() << " halves");
-  const std::size_t n = src.size();
-  const std::size_t full = n - n % kLanes;
-  for (std::size_t i = 0; i < full; i += kLanes) {
-    floats_to_halves8(src.data() + i, dst.data() + i);
-  }
-  if (full == n) return;
-  float in[kLanes] = {};
-  half out[kLanes];
-  std::memcpy(in, src.data() + full, (n - full) * sizeof(float));
-  floats_to_halves8(in, out);
-  std::memcpy(static_cast<void*>(dst.data() + full), out,
-              (n - full) * sizeof(half));
+  (wide() ? narrow_f16c : narrow_sse2)(src.data(), dst.data(), src.size());
 }
 
-void halves_to_floats8_strided(const half* src, std::size_t stride,
-                               std::size_t rows, float* dst) noexcept {
-  for (std::size_t r = 0; r < rows; ++r) {
-    halves_to_floats8(src + r * stride, dst + r * kLanes);
-  }
+void halves_to_floats_strided(const half* src, std::size_t stride,
+                              std::size_t width, std::size_t rows,
+                              float* dst) noexcept {
+  (wide() ? widen_strided_f16c : widen_strided_sse2)(src, stride, width, rows,
+                                                     dst);
 }
 
 bool all_finite(std::span<const half> src) noexcept {
+  constexpr std::size_t kLanes = 8;  // halves per 16-byte vector
   const std::size_t n = src.size();
   const std::size_t full = n - n % kLanes;
   H8 special{};

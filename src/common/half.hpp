@@ -77,19 +77,22 @@ static_assert(sizeof(half) == 2, "half must be exactly 2 bytes");
 std::ostream& operator<<(std::ostream& os, half h);
 
 // Bulk conversions: the one path every fp16 array crosses (kernel operand
-// widening, gradient pack, reduction sums, optimizer). Branchless integer
-// and float ops on 16-byte vectors, eight elements at a time, tails
-// included. They
-// return exactly the bits of half_bits_to_float / float_to_half_bits for
-// every input: NaN payloads, ±0, subnormals and round-to-even ties.
+// widening, gradient pack, reduction sums, optimizer). Branchless, eight
+// elements at a time, tails included, in the kernel tier the CPU picks
+// (common/kernel_tier.hpp): integer ops on 16-byte vectors, or F16C with a
+// NaN fix-up. Every tier returns exactly the bits of half_bits_to_float /
+// float_to_half_bits for every input: NaN payloads, ±0, subnormals and
+// round-to-even ties.
 
 /// dst[i] = float(src[i]).
 void halves_to_floats(std::span<const half> src, std::span<float> dst);
-/// The same lane kernel over a strided strip of eight columns: run r of
-/// eight halves, at src + r * stride, widens into dst[8r, 8r + 8). This is
-/// how the GEMM widens an fp16 B operand while packing it (tensor/ops.cpp).
-void halves_to_floats8_strided(const half* src, std::size_t stride,
-                               std::size_t rows, float* dst) noexcept;
+/// The same conversion over a strided strip: row r's `width` halves, at
+/// src + r * stride, widen into dst[r * width, (r + 1) * width). `width` is
+/// a multiple of 8. This is how the GEMM widens an fp16 B operand while
+/// packing it (tensor/ops.cpp).
+void halves_to_floats_strided(const half* src, std::size_t stride,
+                              std::size_t width, std::size_t rows,
+                              float* dst) noexcept;
 /// dst[i] = half(src[i]), round-to-nearest-even.
 void floats_to_halves(std::span<const float> src, std::span<half> dst);
 /// True if every element is finite (no Inf, no NaN).

@@ -628,7 +628,9 @@ void ZeroEngine::load_checkpoint(const std::string& path) {
 }
 
 std::string ZeroEngine::memory_summary() const {
-  return res_.accountant().summary();
+  const DeviceArena& gpu = res_.gpu();
+  return res_.accountant().summary(
+      TierBytes{gpu.used(), gpu.stats().peak_used});
 }
 
 }  // namespace zi

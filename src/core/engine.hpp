@@ -107,7 +107,8 @@ class ZeroEngine {
   const DynamicLossScaler& loss_scaler() const noexcept { return scaler_; }
   std::int64_t steps() const noexcept { return step_; }
 
-  /// "GPU x (peak y) | CPU ... | NVMe ..." across the rank's tiers.
+  /// "GPU x (peak y) | CPU ... | NVMe ...": GPU from the rank's device
+  /// arena, CPU and NVMe from the accountant.
   std::string memory_summary() const;
 
  private:

@@ -46,6 +46,7 @@ class RankResources {
   bool spill_on_oom() const noexcept { return spill_on_oom_; }
   void set_spill_on_oom(bool on) noexcept { spill_on_oom_ = on; }
   DeviceArena& gpu() noexcept { return *gpu_; }
+  const DeviceArena& gpu() const noexcept { return *gpu_; }
   NvmeStore& nvme() noexcept { return *nvme_; }
   PinnedBufferPool& pinned() noexcept { return *pinned_; }
   DataMover& mover() noexcept { return *mover_; }

@@ -12,6 +12,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace zi {
@@ -22,6 +23,12 @@ enum class Tier : int { kGpu = 0, kCpu = 1, kNvme = 2 };
 inline constexpr int kNumTiers = 3;
 
 const char* tier_name(Tier t);
+
+/// One tier's bytes in use and their peak.
+struct TierBytes {
+  std::uint64_t used = 0;
+  std::uint64_t peak = 0;
+};
 
 class MemoryAccountant {
  public:
@@ -65,8 +72,11 @@ class MemoryAccountant {
     return total;
   }
 
-  /// "GPU 1.2 MiB (peak 3.4 MiB) | CPU ... | NVMe ..."
-  std::string summary() const;
+  /// "GPU 1.2 MiB (peak 3.4 MiB) | CPU ... | NVMe ...", with the GPU
+  /// figures `gpu` when given: the engines pass their device arena's, which
+  /// hold every GPU byte, where this accountant sees only what is charged
+  /// to its GPU tier.
+  std::string summary(std::optional<TierBytes> gpu = std::nullopt) const;
 
  private:
   static int idx(Tier t) { return static_cast<int>(t); }

@@ -8,23 +8,28 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/kernel_tier.hpp"
 
 namespace zi {
 
 // ---------------------------------------------------------------------------
 // GEMM. Every variant runs one register-tiled microkernel: a tile of up to
-// kMr rows by kNr columns of C stays in 16-byte vector registers for the
-// whole k loop. op(A) is packed once per call into kMr-row panels. op(B)
-// is walked as kNr-column strips; each strip is read in place (full strips
-// of an fp32 B in gemm / gemm_tn) or packed, and then meets every A panel.
-// Packing is where an fp16 B is widened, eight columns at a time, and
-// where gemm_nt transposes Bᵀ.
+// kMr rows by kNr columns of C stays in vector registers, two vectors per
+// row, for the whole k loop. The microkernel is one template over the
+// vector type, in two tiers (common/kernel_tier.hpp): 16-byte vectors and
+// 8-column strips (SSE2, the x86-64 baseline), or 32-byte vectors and
+// 16-column strips, compiled only inside a target("avx2,f16c") function.
+// op(A) is packed once per call into kMr-row panels. op(B) is walked as
+// kNr-column strips; each strip is read in place (full strips of an fp32 B
+// in gemm / gemm_tn) or packed, and then meets every A panel. Packing is
+// where an fp16 B is widened and where gemm_nt transposes Bᵀ.
 //
 // Numerics contract (DESIGN.md §2): the results are bit-identical to plain
-// scalar loops, kept as the oracle in tests/test_ops.cpp. Every C element
-// accumulates over p in ascending order with a separate multiply and add —
-// no FMA, no reassociation, no k-splitting — so an element's value never
-// depends on m, n or its place in a tile.
+// scalar loops, kept as the oracle in tests/test_ops.cpp, in either tier.
+// Every C element accumulates over p in ascending order with a separate
+// multiply and add — no FMA (the wide tier enables AVX2 and F16C only), no
+// reassociation, no k-splitting — so an element's value never depends on
+// m, n, the tile width or its place in a tile.
 //   gemm, gemm_tn: start from beta·C (+0 when beta == 0, C as is when
 //     beta == 1) and add (alpha·a)·b, skipping a term whose alpha·a is zero.
 //   gemm_nt: sum a·b from +0, then C = alpha·acc + (beta == 0 ? 0 : beta·C).
@@ -34,21 +39,37 @@ namespace zi {
 namespace {
 
 constexpr i64 kMr = 4;  // rows of C per register tile
-constexpr i64 kNr = 8;  // columns of C per register tile: two vectors
 // The fp32 gemm_nt packs Bᵀ for this many rows or more. For a single row
 // (decode) packing costs about what it saves, so B is read in place.
 constexpr i64 kNtPackMinRows = 2;
 
-// Generic 16-byte vectors: SSE2 at the x86-64 baseline ISA.
+// Generic vectors: 16 bytes (SSE2) and 32 bytes (the AVX2 tier).
 using V4 = float __attribute__((vector_size(16)));
+using V8 = float __attribute__((vector_size(32)));
+
+template <class V>
+constexpr i64 kLanes = sizeof(V) / sizeof(float);
+// Columns of C per register tile: two vectors.
+template <class V>
+constexpr i64 kNr = 2 * kLanes<V>;
+
+// Vector loads and stores go through references, so no 32-byte vector is
+// passed by value between functions built for the baseline ABI.
+template <class V>
+void load(V& v, const float* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <class V>
+void store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
 V4 load4(const float* p) {
   V4 v;
-  std::memcpy(&v, p, sizeof v);
+  load(v, p);
   return v;
 }
-
-void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
 
 V4 splat(float x) { return V4{x, x, x, x}; }
 
@@ -85,13 +106,14 @@ struct Strip {
 };
 
 // Packs a strip of w columns, element (p, c) at b[p * row_step +
-// c * col_step], into dst[p * kNr + c], zero-padding columns w..kNr-1. The
+// c * col_step], into dst[p * nr + c], zero-padding columns w..nr-1. The
 // steps let the same loop pack B (gemm, gemm_tn) and Bᵀ (gemm_nt).
+template <i64 nr>
 void pack_strip(const float* b, i64 row_step, i64 col_step, i64 k, i64 w,
                 float* dst) {
   for (i64 p = 0; p < k; ++p) {
-    for (i64 c = 0; c < kNr; ++c) {
-      dst[p * kNr + c] = c < w ? b[p * row_step + c * col_step] : 0.0f;
+    for (i64 c = 0; c < nr; ++c) {
+      dst[p * nr + c] = c < w ? b[p * row_step + c * col_step] : 0.0f;
     }
   }
 }
@@ -105,86 +127,124 @@ void unroll(F&& f) {
   }(std::make_integer_sequence<int, R>{});
 }
 
-// The microkernel: one R x 8 tile of C (rows ldc apart). ap is a packed
-// R-row A panel (ap[p * R + r]); row p of the B strip is at b + p * ldb.
-// The tile sums over p ascending; kSkipZero drops the term of a zero A
-// entry (gemm, gemm_tn).
-template <int R, bool kSkipZero>
+// The microkernel: one R x kNr<V> tile of C (rows ldc apart). ap is a
+// packed R-row A panel (ap[p * R + r]); row p of the B strip is at
+// b + p * ldb. The tile sums over p ascending; kSkipZero drops the term of
+// a zero A entry (gemm, gemm_tn).
+template <class V, int R, bool kSkipZero>
 void tile_kernel(const float* ap, const float* b, i64 ldb, i64 k, float* ct,
                  i64 ldc, float alpha, float beta, Form form) {
+  constexpr i64 L = kLanes<V>;
   const bool load_c = beta != 0.0f;
-  V4 lo[R], hi[R];
+  V lo[R], hi[R];
   unroll<R>([&](int r) {
-    lo[r] = hi[r] = V4{};
+    lo[r] = hi[r] = V{};
     if (form == Form::kAccumulate && load_c) {
-      lo[r] = load4(ct + r * ldc);
-      hi[r] = load4(ct + r * ldc + 4);
+      load(lo[r], ct + r * ldc);
+      load(hi[r], ct + r * ldc + L);
       if (beta != 1.0f) {
-        lo[r] *= splat(beta);
-        hi[r] *= splat(beta);
+        lo[r] *= beta;
+        hi[r] *= beta;
       }
     }
   });
   for (i64 p = 0; p < k; ++p, ap += R, b += ldb) {
-    const V4 b0 = load4(b);
-    const V4 b1 = load4(b + 4);
+    V b0, b1;
+    load(b0, b);
+    load(b1, b + L);
     unroll<R>([&](int r) {
       if (kSkipZero && ap[r] == 0.0f) return;
-      const V4 av = splat(ap[r]);
-      lo[r] += av * b0;
-      hi[r] += av * b1;
+      lo[r] += ap[r] * b0;
+      hi[r] += ap[r] * b1;
     });
   }
   unroll<R>([&](int r) {
     float* crow = ct + r * ldc;
     if (form == Form::kDot) {
-      const V4 c0 = load_c ? splat(beta) * load4(crow) : V4{};
-      const V4 c1 = load_c ? splat(beta) * load4(crow + 4) : V4{};
-      lo[r] = splat(alpha) * lo[r] + c0;
-      hi[r] = splat(alpha) * hi[r] + c1;
+      V c0{}, c1{};
+      if (load_c) {
+        load(c0, crow);
+        load(c1, crow + L);
+        c0 = beta * c0;
+        c1 = beta * c1;
+      }
+      lo[r] = alpha * lo[r] + c0;
+      hi[r] = alpha * hi[r] + c1;
     }
-    store4(crow, lo[r]);
-    store4(crow + 4, hi[r]);
+    store(crow, lo[r]);
+    store(crow + L, hi[r]);
   });
 }
 
 // The R x w tile of C at rows c..c+R-1 (n apart), columns j..j+w-1. A
 // partial strip's tile goes through a padded copy.
-template <int R>
+template <class V, int R>
 void tile(const float* ap, bool skip_zero, Strip s, float* c, i64 j, i64 w,
           i64 k, i64 n, float alpha, float beta, Form form) {
-  const bool full = w == kNr;
-  float edge[R * kNr];
+  constexpr i64 nr = kNr<V>;
+  const bool full = w == nr;
+  float edge[R * nr];
   float* ct = full ? c + j : edge;
-  const i64 ldc = full ? n : kNr;
+  const i64 ldc = full ? n : nr;
   if (!full) {
-    std::fill(edge, edge + R * kNr, 0.0f);
+    std::fill(edge, edge + R * nr, 0.0f);
     if (beta != 0.0f) {
       for (int r = 0; r < R; ++r) {
-        std::copy(c + r * n + j, c + r * n + j + w, edge + r * kNr);
+        std::copy(c + r * n + j, c + r * n + j + w, edge + r * nr);
       }
     }
   }
   if (skip_zero) {
-    tile_kernel<R, true>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
+    tile_kernel<V, R, true>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
   } else {
-    tile_kernel<R, false>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
+    tile_kernel<V, R, false>(ap, s.b, s.ldb, k, ct, ldc, alpha, beta, form);
   }
   if (!full) {
     for (int r = 0; r < R; ++r) {
-      std::copy(edge + r * kNr, edge + r * kNr + w, c + r * n + j);
+      std::copy(edge + r * nr, edge + r * nr + w, c + r * n + j);
     }
   }
 }
 
-// C = op(A) · op(B) through the microkernel. op(A) is packed once, scaled
-// by `a_scale` (alpha for the accumulate form, 1 for the dot form): the
-// panel of rows i..i+3 starts at i * k with element (p, r) at
-// [p * rows + r]. `strip(j, w)` yields the strip of columns j..j+w-1,
-// which then runs against every panel.
-template <typename StripFn>
-void gemm_tiled(AView a, float a_scale, StripFn&& strip, float* c, i64 m,
-                i64 k, i64 n, float alpha, float beta, Form form) {
+// One tile of `rows` (1..kMr) rows; the arguments are tile<V, R>'s.
+template <class V>
+void tile_rows(i64 rows, const float* ap, bool skip_zero, Strip s, float* c,
+               i64 j, i64 w, i64 k, i64 n, float alpha, float beta,
+               Form form) {
+  switch (rows) {
+    case 1: tile<V, 1>(ap, skip_zero, s, c, j, w, k, n, alpha, beta, form); break;
+    case 2: tile<V, 2>(ap, skip_zero, s, c, j, w, k, n, alpha, beta, form); break;
+    case 3: tile<V, 3>(ap, skip_zero, s, c, j, w, k, n, alpha, beta, form); break;
+    default: tile<V, 4>(ap, skip_zero, s, c, j, w, k, n, alpha, beta, form);
+  }
+}
+
+// The two tiers of the microkernel. The 32-byte one is built only here,
+// inside a target function with internal linkage, and everything it calls
+// is inlined into it, so no baseline caller can reach AVX2 code.
+void tile_sse2(i64 rows, const float* ap, bool skip_zero, Strip s, float* c,
+               i64 j, i64 w, i64 k, i64 n, float alpha, float beta,
+               Form form) {
+  tile_rows<V4>(rows, ap, skip_zero, s, c, j, w, k, n, alpha, beta, form);
+}
+
+[[gnu::target("avx2,f16c"), gnu::flatten]] void tile_avx2(
+    i64 rows, const float* ap, bool skip_zero, Strip s, float* c, i64 j,
+    i64 w, i64 k, i64 n, float alpha, float beta, Form form) {
+  tile_rows<V8>(rows, ap, skip_zero, s, c, j, w, k, n, alpha, beta, form);
+}
+
+using TileFn = decltype(&tile_sse2);
+
+// C = op(A) · op(B) through the microkernel `run_tile` with nr-column
+// strips. op(A) is packed once, scaled by `a_scale` (alpha for the
+// accumulate form, 1 for the dot form): the panel of rows i..i+3 starts at
+// i * k with element (p, r) at [p * rows + r]. `strip(j, w)` yields the
+// strip of columns j..j+w-1, which then runs against every panel.
+template <i64 nr, typename StripFn>
+void gemm_tiled(TileFn run_tile, AView a, float a_scale, StripFn&& strip,
+                float* c, i64 m, i64 k, i64 n, float alpha, float beta,
+                Form form) {
   float* ap = scratch(t_a_panels, m * k);
   char* skip = scratch(t_a_skip, (m + kMr - 1) / kMr);
   for (i64 i = 0; i < m; i += kMr) {
@@ -201,59 +261,56 @@ void gemm_tiled(AView a, float a_scale, StripFn&& strip, float* c, i64 m,
     }
     skip[i / kMr] = form == Form::kAccumulate && any_zero;
   }
-  for (i64 j = 0; j < n; j += kNr) {
-    const i64 w = std::min(kNr, n - j);
+  for (i64 j = 0; j < n; j += nr) {
+    const i64 w = std::min(nr, n - j);
     const Strip s = strip(j, w);
     for (i64 i = 0; i < m; i += kMr) {
-      const float* panel = ap + i * k;
-      const bool sk = skip[i / kMr] != 0;
-      float* cb = c + i * n;
-      switch (std::min(kMr, m - i)) {
-        case 1: tile<1>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
-        case 2: tile<2>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
-        case 3: tile<3>(panel, sk, s, cb, j, w, k, n, alpha, beta, form); break;
-        default: tile<4>(panel, sk, s, cb, j, w, k, n, alpha, beta, form);
-      }
+      run_tile(std::min(kMr, m - i), ap + i * k, skip[i / kMr] != 0, s,
+               c + i * n, j, w, k, n, alpha, beta, form);
     }
   }
 }
 
 // Strips of an fp32 B[k][n]: full strips in place, a partial one packed.
+template <i64 nr>
 auto strips_of_b(const float* b, i64 k, i64 n) {
   return [=](i64 j, i64 w) {
-    if (w == kNr) return Strip{b + j, n};
-    float* dst = scratch(t_b_strip, k * kNr);
-    pack_strip(b + j, n, 1, k, w, dst);
-    return Strip{dst, kNr};
+    if (w == nr) return Strip{b + j, n};
+    float* dst = scratch(t_b_strip, k * nr);
+    pack_strip<nr>(b + j, n, 1, k, w, dst);
+    return Strip{dst, nr};
   };
 }
 
-// Strips of an fp16 B[k][n], widened eight halves per row into the packed
-// strip; a partial strip is first copied, zero-padded, to kNr columns.
+// Strips of an fp16 B[k][n], widened nr halves per row into the packed
+// strip; a partial strip is first copied, zero-padded, to nr columns.
+template <i64 nr>
 auto strips_of_half_b(const half* b, i64 k, i64 n) {
   return [=](i64 j, i64 w) {
     const half* src = b + j;
     std::size_t stride = static_cast<std::size_t>(n);
-    if (w < kNr) {
-      half* padded = scratch(t_b_tail, k * kNr);
+    if (w < nr) {
+      half* padded = scratch(t_b_tail, k * nr);
       for (i64 p = 0; p < k; ++p) {
-        std::fill(std::copy(b + p * n + j, b + p * n + n, padded + p * kNr),
-                  padded + (p + 1) * kNr, half());
+        std::fill(std::copy(b + p * n + j, b + p * n + n, padded + p * nr),
+                  padded + (p + 1) * nr, half());
       }
       src = padded;
-      stride = kNr;
+      stride = nr;
     }
-    float* dst = scratch(t_b_strip, k * kNr);
-    halves_to_floats8_strided(src, stride, static_cast<std::size_t>(k), dst);
-    return Strip{dst, kNr};
+    float* dst = scratch(t_b_strip, k * nr);
+    halves_to_floats_strided(src, stride, nr, static_cast<std::size_t>(k),
+                             dst);
+    return Strip{dst, nr};
   };
 }
 
-// Reads B[j + c][p + q] for c < kNr, q < 4 (B's rows k apart, bj at row
+// Reads B[j + c][p + q] for c < 4·G, q < 4 (B's rows k apart, bj at row
 // j, column p) transposed in registers: lane c % 4 of t[c / 4][q] is
 // B[j + c][p + q], so each vector holds one p of four columns.
-void load_bt_block(const float* bj, i64 k, V4 (&t)[kNr / 4][4]) {
-  unroll<kNr / 4>([&](int g) {
+template <int G>
+void load_bt_block(const float* bj, i64 k, V4 (&t)[G][4]) {
+  unroll<G>([&](int g) {
     V4 r[4];
     unroll<4>([&](int c) { r[c] = load4(bj + (4 * g + c) * k); });
     const V4 lo01 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
@@ -268,64 +325,69 @@ void load_bt_block(const float* bj, i64 k, V4 (&t)[kNr / 4][4]) {
 }
 
 // Packs the Bᵀ strip of columns [j, j + w) of op(B), i.e. rows of B[n][k],
-// into dst[p * kNr + c].
+// into dst[p * nr + c].
+template <i64 nr>
 void pack_bt_strip(const float* bj, i64 k, i64 w, float* dst) {
+  constexpr int kGroups = nr / 4;
   i64 p = 0;
-  for (; w == kNr && p + 4 <= k; p += 4) {
-    V4 t[kNr / 4][4];
-    load_bt_block(bj + p, k, t);
+  for (; w == nr && p + 4 <= k; p += 4) {
+    V4 t[kGroups][4];
+    load_bt_block<kGroups>(bj + p, k, t);
     unroll<4>([&](int q) {
-      unroll<kNr / 4>([&](int g) {
-        store4(dst + (p + q) * kNr + 4 * g, t[g][q]);
+      unroll<kGroups>([&](int g) {
+        store(dst + (p + q) * nr + 4 * g, t[g][q]);
       });
     });
   }
   // A partial strip, and the last k % 4 p of a full one, one by one.
-  pack_strip(bj + p, 1, k, k - p, w, dst + p * kNr);
+  pack_strip<nr>(bj + p, 1, k, k - p, w, dst + p * nr);
 }
 
 // Bᵀ strips of an fp32 B[n][k].
+template <i64 nr>
 auto strips_of_bt(const float* b, i64 k) {
   return [=](i64 j, i64 w) {
-    float* dst = scratch(t_b_strip, k * kNr);
-    pack_bt_strip(b + j * k, k, w, dst);
-    return Strip{dst, kNr};
+    float* dst = scratch(t_b_strip, k * nr);
+    pack_bt_strip<nr>(b + j * k, k, w, dst);
+    return Strip{dst, nr};
   };
 }
 
 // Bᵀ strips of an fp16 B[n][k]: the strip's w rows are contiguous, so they
 // are widened in one pass and then transposed like an fp32 strip.
+template <i64 nr>
 auto strips_of_half_bt(const half* b, i64 k) {
   return [=](i64 j, i64 w) {
     const auto count = static_cast<std::size_t>(w * k);
-    float* rows = scratch(t_b_rows, kNr * k);
+    float* rows = scratch(t_b_rows, nr * k);
     halves_to_floats(std::span<const half>(b + j * k, count),
                      std::span<float>(rows, count));
-    float* dst = scratch(t_b_strip, k * kNr);
-    pack_bt_strip(rows, k, w, dst);
-    return Strip{dst, kNr};
+    float* dst = scratch(t_b_strip, k * nr);
+    pack_bt_strip<nr>(rows, k, w, dst);
+    return Strip{dst, nr};
   };
 }
 
-// gemm_nt without packing, for fewer than kNtPackMinRows rows: kNr rows of
-// B[n][k] are read in place, four p at a time, and transposed in registers,
-// so lane c of an accumulator is column j + c, summed over p ascending like
-// every other element.
+// gemm_nt without packing, for fewer than kNtPackMinRows rows: eight rows
+// of B[n][k] are read in place, four p at a time, and transposed in
+// registers, so lane c of an accumulator is column j + c, summed over p
+// ascending like every other element.
 void gemm_nt_unpacked(const float* a, const float* b, float* c, i64 m, i64 k,
                       i64 n, float alpha, float beta) {
-  constexpr int kGroups = kNr / 4;
+  constexpr int kGroups = 2;
+  constexpr i64 kCols = 4 * kGroups;
   for (i64 i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     i64 j = 0;
-    for (; j + kNr <= n; j += kNr) {
+    for (; j + kCols <= n; j += kCols) {
       const float* bj = b + j * k;
       V4 acc[kGroups] = {};
       i64 p = 0;
       for (; p + 4 <= k; p += 4) {
         const V4 a4 = load4(arow + p);
         V4 t[kGroups][4];
-        load_bt_block(bj + p, k, t);
+        load_bt_block<kGroups>(bj + p, k, t);
         unroll<4>([&](int q) {
           unroll<kGroups>([&](int g) { acc[g] += splat(a4[q]) * t[g][q]; });
         });
@@ -340,7 +402,7 @@ void gemm_nt_unpacked(const float* a, const float* b, float* c, i64 m, i64 k,
       unroll<kGroups>([&](int g) {
         float* cg = crow + j + 4 * g;
         const V4 prior = beta == 0.0f ? V4{} : splat(beta) * load4(cg);
-        store4(cg, splat(alpha) * acc[g] + prior);
+        store(cg, splat(alpha) * acc[g] + prior);
       });
     }
     for (; j < n; ++j) {
@@ -352,18 +414,37 @@ void gemm_nt_unpacked(const float* a, const float* b, float* c, i64 m, i64 k,
   }
 }
 
+// Calls body.operator()<nr>(tile) with the microkernel of the tier the CPU
+// picked and its strip width nr. Under 16 columns the 16-wide tile would
+// compute mostly padding, and micro_tensor measures it slower than the
+// 8-wide one (8 x 32 x 8 and 4 x 32 x 4 gemm_nt), so narrow products keep
+// the 8-wide tile; either returns the same bits.
+template <typename Body>
+void in_tier(i64 n, Body&& body) {
+  if (n >= kNr<V8> && kernel_tier() == KernelTier::kAvx2F16c) {
+    body.template operator()<kNr<V8>>(tile_avx2);
+  } else {
+    body.template operator()<kNr<V4>>(tile_sse2);
+  }
+}
+
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
           float alpha, float beta) {
-  gemm_tiled(AView{a, k, 1}, alpha, strips_of_b(b, k, n), c, m, k, n, alpha,
-             beta, Form::kAccumulate);
+  in_tier(n, [&]<i64 nr>(TileFn tile_fn) {
+    gemm_tiled<nr>(tile_fn, AView{a, k, 1}, alpha, strips_of_b<nr>(b, k, n),
+                   c, m, k, n, alpha, beta, Form::kAccumulate);
+  });
 }
 
 void gemm(const float* a, const half* b, float* c, i64 m, i64 k, i64 n,
           float alpha, float beta) {
-  gemm_tiled(AView{a, k, 1}, alpha, strips_of_half_b(b, k, n), c, m, k, n,
-             alpha, beta, Form::kAccumulate);
+  in_tier(n, [&]<i64 nr>(TileFn tile_fn) {
+    gemm_tiled<nr>(tile_fn, AView{a, k, 1}, alpha,
+                   strips_of_half_b<nr>(b, k, n), c, m, k, n, alpha, beta,
+                   Form::kAccumulate);
+  });
 }
 
 void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
@@ -373,21 +454,27 @@ void gemm_nt(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
     gemm_nt_unpacked(a, b, c, m, k, n, alpha, beta);
     return;
   }
-  gemm_tiled(AView{a, k, 1}, 1.0f, strips_of_bt(b, k), c, m, k, n, alpha,
-             beta, Form::kDot);
+  in_tier(n, [&]<i64 nr>(TileFn tile_fn) {
+    gemm_tiled<nr>(tile_fn, AView{a, k, 1}, 1.0f, strips_of_bt<nr>(b, k), c,
+                   m, k, n, alpha, beta, Form::kDot);
+  });
 }
 
 void gemm_nt(const float* a, const half* b, float* c, i64 m, i64 k, i64 n,
              float alpha, float beta) {
-  gemm_tiled(AView{a, k, 1}, 1.0f, strips_of_half_bt(b, k), c, m, k, n,
-             alpha, beta, Form::kDot);
+  in_tier(n, [&]<i64 nr>(TileFn tile_fn) {
+    gemm_tiled<nr>(tile_fn, AView{a, k, 1}, 1.0f, strips_of_half_bt<nr>(b, k),
+                   c, m, k, n, alpha, beta, Form::kDot);
+  });
 }
 
 void gemm_tn(const float* a, const float* b, float* c, i64 m, i64 k, i64 n,
              float alpha, float beta) {
   // C[i][j] = sum_p A[p][i] * B[p][j].
-  gemm_tiled(AView{a, 1, m}, alpha, strips_of_b(b, k, n), c, m, k, n, alpha,
-             beta, Form::kAccumulate);
+  in_tier(n, [&]<i64 nr>(TileFn tile_fn) {
+    gemm_tiled<nr>(tile_fn, AView{a, 1, m}, alpha, strips_of_b<nr>(b, k, n),
+                   c, m, k, n, alpha, beta, Form::kAccumulate);
+  });
 }
 
 // ---------------------------------------------------------------------------

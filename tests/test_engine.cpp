@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 
+#include "common/units.hpp"
 #include "core/engine.hpp"
 #include "model/gpt.hpp"
 #include "core/tiling.hpp"
@@ -347,11 +348,23 @@ TEST_F(EngineTest, MemorySummaryReportsTiers) {
   run_ranks(1, [&](Communicator& comm) {
     Gpt model(model_cfg);
     ZeroEngine engine(model, comm, aio, cfg);
+    std::vector<std::int32_t> tokens, targets;
+    make_batch(comm.rank(), 0, model_cfg, 2, tokens, targets);
+    engine.train_step(tokens, targets);
     const std::string summary = engine.memory_summary();
     EXPECT_NE(summary.find("GPU"), std::string::npos);
     EXPECT_NE(summary.find("NVMe"), std::string::npos);
     // NVMe actually holds the fp16 params + optimizer state.
     EXPECT_GT(engine.resources().accountant().used(Tier::kNvme), 0u);
+    // The GPU figure is the arena's, which held the gathered parameters;
+    // the accountant's GPU tier never sees them.
+    const std::uint64_t arena_peak =
+        engine.resources().gpu().stats().peak_used;
+    EXPECT_GT(arena_peak, 0u);
+    const std::string gpu =
+        "GPU " + format_bytes(engine.resources().gpu().used()) + " (peak " +
+        format_bytes(arena_peak) + ")";
+    EXPECT_EQ(summary.rfind(gpu, 0), 0u) << summary;
   });
 }
 

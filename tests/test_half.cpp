@@ -6,11 +6,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/half.hpp"
+#include "common/kernel_tier.hpp"
 #include "common/rng.hpp"
+#include "kernel_tiers.hpp"
 
 namespace zi {
 namespace {
@@ -110,12 +116,64 @@ TEST(HalfProperty, RelativeErrorBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Bulk conversions ≡ the scalar routines, bit for bit.
+// The kernel tier.
+
+// The CPU's feature flags as the kernel reports them (/proc/cpuinfo), or
+// empty where that file does not exist.
+std::string cpuinfo_flags() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("flags", 0) == 0) return line.substr(line.find(':') + 1);
+  }
+  return {};
+}
+
+bool has_flag(const std::string& flags, const std::string& flag) {
+  std::istringstream words(flags);
+  std::string w;
+  while (words >> w) {
+    if (w == flag) return true;
+  }
+  return false;
+}
+
+TEST(KernelTier, PickedTierMatchesTheCpu) {
+  const KernelTier tier = kernel_tier();
+  std::printf("kernel tier: %s\n", kernel_tier_name(tier));
+  const bool wide = tier == KernelTier::kAvx2F16c;
+  EXPECT_EQ(wide, __builtin_cpu_supports("avx2") &&
+                      __builtin_cpu_supports("f16c"));
+  const std::string flags = cpuinfo_flags();
+  if (flags.empty()) GTEST_SKIP() << "no /proc/cpuinfo to cross-check";
+  EXPECT_EQ(wide, has_flag(flags, "avx2") && has_flag(flags, "f16c"))
+      << "cpuinfo flags:" << flags;
+}
+
+TEST(KernelTier, Sse2SeamNestsAndRestores) {
+  const KernelTier picked = kernel_tier();
+  {
+    test_seam::ScopedSse2Tier outer;
+    EXPECT_EQ(kernel_tier(), KernelTier::kSse2);
+    {
+      test_seam::ScopedSse2Tier inner;
+      EXPECT_EQ(kernel_tier(), KernelTier::kSse2);
+    }
+    EXPECT_EQ(kernel_tier(), KernelTier::kSse2);
+  }
+  EXPECT_EQ(kernel_tier(), picked);
+}
+
+// ---------------------------------------------------------------------------
+// Bulk conversions ≡ the scalar routines, bit for bit, in every tier.
 
 std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
 float float_of(std::uint32_t u) { return std::bit_cast<float>(u); }
 
-TEST(HalfBulk, WidensAllHalves) {
+using HalfBulk = KernelTierTest;
+ZI_KERNEL_TIERS(HalfBulk);
+
+TEST_P(HalfBulk, WidensAllHalves) {
   std::vector<half> h(65536);
   for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
     h[b] = half::from_bits(static_cast<std::uint16_t>(b));
@@ -173,7 +231,42 @@ std::vector<float> stratified_floats() {
   return out;
 }
 
-TEST(HalfBulk, NarrowsStratifiedFloats) {
+// F16C sets the quiet bit of a signalling NaN; the scalar routine keeps
+// the payload as it is. Every half, widened in place at every offset of a
+// 16-element strip and through the strided widen, must keep it.
+TEST_P(HalfBulk, WidensEverySignallingNaNWithItsPayload) {
+  std::vector<half> h;
+  for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+    h.push_back(half::from_bits(static_cast<std::uint16_t>(b)));
+  }
+  int snans = 0;
+  for (const half x : h) snans += x.isnan() && (x.bits() & 0x0200) == 0;
+  ASSERT_EQ(snans, 2 * 511);  // both signs, payloads 1..0x1FF
+  for (std::size_t shift = 0; shift < 16; ++shift) {
+    std::vector<half> src(shift, half(1.0f));
+    src.insert(src.end(), h.begin(), h.end());
+    std::vector<float> f(src.size());
+    halves_to_floats(src, f);
+    for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+      ASSERT_EQ(bits_of(f[shift + b]),
+                bits_of(half_bits_to_float(static_cast<std::uint16_t>(b))))
+          << "half bits 0x" << std::hex << b << " at offset " << std::dec
+          << shift;
+    }
+  }
+  for (const std::size_t width : {8u, 16u}) {
+    std::vector<float> f(h.size());
+    halves_to_floats_strided(h.data(), width, width, h.size() / width,
+                             f.data());
+    for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+      ASSERT_EQ(bits_of(f[b]),
+                bits_of(half_bits_to_float(static_cast<std::uint16_t>(b))))
+          << "strided width " << width << ", half bits 0x" << std::hex << b;
+    }
+  }
+}
+
+TEST_P(HalfBulk, NarrowsStratifiedFloats) {
   const std::vector<float> f = stratified_floats();
   std::vector<half> h(f.size());
   floats_to_halves(f, h);
@@ -183,16 +276,17 @@ TEST(HalfBulk, NarrowsStratifiedFloats) {
   }
 }
 
-// Every tail length 0-15 from every start offset 0-7: the kernel writes
-// exactly n elements, each right, and reads nothing outside its span (the
-// ASan lane checks the reads).
-TEST(HalfBulk, TailsAndUnalignedStartsBothDirections) {
+// Every tail length 0-31 from every start offset 0-15, so two steps of the
+// 16-wide loop and all of its tails: the kernel writes exactly n elements,
+// each right, and reads nothing outside its span (the ASan lane checks the
+// reads).
+TEST_P(HalfBulk, TailsAndUnalignedStartsBothDirections) {
   const std::vector<float> f = stratified_floats();
   const half kGuard = half::from_bits(0x5A5A);
   const float kGuardF = -12345.0f;
-  for (std::size_t start = 0; start < 8; ++start) {
-    for (std::size_t n = 0; n < 16; ++n) {
-      const std::size_t base = (start * 131 + n * 977) % (f.size() - 16);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t n = 0; n < 32; ++n) {
+      const std::size_t base = (start * 131 + n * 977) % (f.size() - 32);
       std::vector<float> src(f.begin() + static_cast<std::ptrdiff_t>(base),
                              f.begin() + static_cast<std::ptrdiff_t>(base + n));
       std::vector<half> h(start + n + 1, kGuard);
@@ -217,14 +311,14 @@ TEST(HalfBulk, TailsAndUnalignedStartsBothDirections) {
   }
 }
 
-TEST(HalfBulk, SizeMismatchThrows) {
+TEST_P(HalfBulk, SizeMismatchThrows) {
   std::vector<float> f(4);
   std::vector<half> h(3);
   EXPECT_ANY_THROW(floats_to_halves(f, h));
   EXPECT_ANY_THROW(halves_to_floats(h, f));
 }
 
-TEST(HalfBulk, AllFiniteFindsEveryInfAndNan) {
+TEST_P(HalfBulk, AllFiniteFindsEveryInfAndNan) {
   for (std::size_t n = 0; n < 40; ++n) {
     std::vector<half> h(n, half(1.0f));
     EXPECT_TRUE(all_finite(h)) << n;

@@ -1,7 +1,7 @@
 // floats_to_halves against float_to_half_bits over all 2^32 float bit
-// patterns (every NaN payload, subnormal and tie included). About half a
-// minute at -O2, so it runs under the `kernels` label and in the full
-// suite rather than the fast lane.
+// patterns (every NaN payload, subnormal and tie included), in each kernel
+// tier. About a quarter of a minute per tier at -O2, so it runs under the
+// `kernels` label and in the full suite rather than the fast lane.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -9,11 +9,15 @@
 #include <vector>
 
 #include "common/half.hpp"
+#include "kernel_tiers.hpp"
 
 namespace zi {
 namespace {
 
-TEST(HalfExhaustive, NarrowsEveryFloat) {
+using HalfExhaustive = KernelTierTest;
+ZI_KERNEL_TIERS(HalfExhaustive);
+
+TEST_P(HalfExhaustive, NarrowsEveryFloat) {
   constexpr std::uint64_t kBlock = 1u << 16;
   std::vector<float> f(kBlock);
   std::vector<half> h(kBlock);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernel_tiers.hpp"
 #include "tensor/ops.hpp"
 
 namespace zi {
@@ -196,9 +197,13 @@ int gemm_mismatches(GemmFn fn, GemmFn oracle, i64 m, i64 k, i64 n,
   return bad;
 }
 
-// Every tile tail (the kernel's tile is 4 x 8), every alpha/beta form, and
-// operands holding 0, -0.0 and +-inf.
-TEST(Gemm, BitIdenticalToScalarLoops) {
+// Every kernel tier: the SSE2 tier's tile is 4 x 8, the AVX2 tier's 4 x 16.
+using Gemm = KernelTierTest;
+ZI_KERNEL_TIERS(Gemm);
+
+// Every tile tail of both tile widths, every alpha/beta form, and operands
+// holding 0, -0.0 and +-inf.
+TEST_P(Gemm, BitIdenticalToScalarLoops) {
   struct Variant {
     const char* name;
     GemmFn fn, oracle;
@@ -206,14 +211,15 @@ TEST(Gemm, BitIdenticalToScalarLoops) {
   const Variant variants[] = {{"gemm", gemm, oracle_gemm},
                               {"gemm_nt", gemm_nt, oracle_gemm_nt},
                               {"gemm_tn", gemm_tn, oracle_gemm_tn}};
-  const i64 dims[] = {1, 2, 3, 4, 5, 7, 8, 9, 64};
+  const i64 rows[] = {1, 2, 3, 4, 5, 7, 8, 9, 64};
+  const i64 cols[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64};
   const i64 depths[] = {0, 1, 7, 128, 512};
   const std::pair<float, float> scales[] = {
       {1.0f, 0.0f}, {0.5f, 1.0f}, {0.25f, 0.5f}, {-1.0f, 0.0f}};
   std::uint64_t stream = 0;
   for (const Variant& v : variants) {
-    for (const i64 m : dims) {
-      for (const i64 n : dims) {
+    for (const i64 m : rows) {
+      for (const i64 n : cols) {
         for (const i64 k : depths) {
           for (const auto& [alpha, beta] : scales) {
             for (const bool with_inf : {false, true}) {
@@ -283,9 +289,10 @@ int half_gemm_mismatches(HalfGemmFn fn, GemmFn oracle, i64 m, i64 k, i64 n,
 }
 
 // The fp16-B forms over every row count up to two tiles plus one, every
-// column tail of the 8-wide strip up to two strips plus one, k tails around
-// the 4-wide transpose block, and every alpha/beta form.
-TEST(Gemm, HalfBBitIdenticalToScalarLoopsOnWidenedB) {
+// column tail of the 16-wide strip up to two strips plus one (and so of the
+// 8-wide one), k tails around the 4-wide transpose block, and every
+// alpha/beta form.
+TEST_P(Gemm, HalfBBitIdenticalToScalarLoopsOnWidenedB) {
   struct Variant {
     const char* name;
     HalfGemmFn fn;
@@ -299,7 +306,7 @@ TEST(Gemm, HalfBBitIdenticalToScalarLoopsOnWidenedB) {
   std::uint64_t stream = 1u << 20;
   for (const Variant& v : variants) {
     for (i64 m = 1; m <= 9; ++m) {
-      for (i64 n = 1; n <= 17; ++n) {
+      for (i64 n = 1; n <= 33; ++n) {
         for (const i64 k : depths) {
           for (const auto& [alpha, beta] : scales) {
             for (const bool with_inf : {false, true}) {
@@ -333,10 +340,11 @@ TEST(Gemm, HalfBBitIdenticalToScalarLoopsOnWidenedB) {
 
 // gemm and gemm_tn skip a term whose alpha*a is zero, so 0 * inf never
 // reaches C; gemm_nt multiplies every term and turns it into NaN.
-TEST(Gemm, ZeroTimesInfSkippedExceptInNt) {
+TEST_P(Gemm, ZeroTimesInfSkippedExceptInNt) {
   const float inf = std::numeric_limits<float>::infinity();
-  const i64 k = 3, n = 9;
-  for (const i64 m : {1, 4, 5}) {
+  const i64 k = 3;
+  for (const auto& [m, n] : {std::pair<i64, i64>{1, 9}, {4, 9}, {5, 9},
+                             {1, 33}, {4, 33}, {5, 33}}) {
     // op(A) is ones with a zero column at p = 1; op(B) is ones with an inf
     // row at p = 1. Each buffer is [rows][cols] of its own layout.
     auto matrix = [](i64 rows, i64 cols, bool p_is_row, float special) {

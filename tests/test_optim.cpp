@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernel_tiers.hpp"
 #include "optim/adam.hpp"
 #include "optim/loss_scaler.hpp"
 #include "scalar_oracles.hpp"
@@ -136,7 +137,10 @@ TEST(Adam, WritesBackTheUpdatedMasterInFp16) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused kernel ≡ scalar loop, bit for bit.
+// Fused kernel ≡ scalar loop, bit for bit, in every kernel tier.
+
+using FusedAdam = KernelTierTest;
+ZI_KERNEL_TIERS(FusedAdam);
 
 std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
 
@@ -166,7 +170,7 @@ std::vector<half> scaled_grads(std::size_t n, float grad_scale,
   return g;
 }
 
-TEST(FusedAdam, BitIdenticalToScalarLoop) {
+TEST_P(FusedAdam, BitIdenticalToScalarLoop) {
   struct Decay {
     float wd;
     bool decoupled;
@@ -177,10 +181,10 @@ TEST(FusedAdam, BitIdenticalToScalarLoop) {
   const float scales[] = {1.0f, 1024.0f, 1000.0f};
   const float clips[] = {1.0f, 0.73f};
   const std::int64_t steps[] = {1, 10000};
-  // Lane tails 0-3 around a few sizes, and the kernel's 512-element
-  // staging block edges.
-  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 13, 511, 512, 513,
-                               1027, 4099};
+  // Lane tails 0-7 around a few sizes (both tiers' vector widths), and the
+  // kernel's 512-element staging block edges.
+  const std::size_t sizes[] = {0,  1,  2,  3,   4,   5,   7,    8,   9,
+                               13, 15, 16, 17, 511, 512, 513, 1027, 4099};
   std::uint64_t seed = 1;
   for (const Decay& d : decays) {
     for (const float scale : scales) {
@@ -225,7 +229,7 @@ TEST(FusedAdam, BitIdenticalToScalarLoop) {
 
 // The NVMe optimizer updates a shard one chunk at a time; chunking must not
 // change a bit (chunk edges fall mid-block and mid-vector).
-TEST(FusedAdam, ChunkedEqualsWhole) {
+TEST_P(FusedAdam, ChunkedEqualsWhole) {
   AdamConfig cfg;
   cfg.weight_decay = 0.01f;
   const std::size_t n = 3001;

@@ -161,6 +161,19 @@ TEST(ZilintRules, DocDrift) {
   EXPECT_EQ(findings.size(), 4u);
 }
 
+TEST(ZilintRules, IsaConfinement) {
+  const auto findings = run_fixture("isa_confinement");
+  EXPECT_EQ(count_rule(findings, "isa-confinement"), 5)
+      << "bad.cpp seeds four, CMakeLists.txt one";
+  EXPECT_TRUE(has_finding(findings, "src/bad.cpp", "isa-confinement"));
+  EXPECT_TRUE(has_finding(findings, "CMakeLists.txt", "isa-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/clean.cpp", "isa-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/suppressed.cpp", "isa-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/tensor/ops.cpp", "isa-confinement"))
+      << "a kernel file that owns a vector tier may name its ISA";
+  EXPECT_EQ(findings.size(), 5u) << "no other rule may fire in this tree";
+}
+
 // ---------------------------------------------------------------------------
 // Output formats
 

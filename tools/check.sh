@@ -144,6 +144,11 @@ run_kernels() {
     --target test_ops test_half test_half_exhaustive test_optim
   (cd "$build" && ctest --output-on-failure -j "$JOBS" -L kernels) \
     || FAILED=1
+  # The tier this host picks (common/kernel_tier.hpp). The suites above run
+  # it and, through the test seam, the SSE2 tier.
+  "$build/tests/test_half" --gtest_filter='KernelTier.PickedTierMatchesTheCpu' |
+    sed -n 's/^kernel tier: /==> kernel tier picked on this host: /p' ||
+    FAILED=1
 }
 
 # The repository benchmark's smoke run, the command CI's zi-bench-smoke job

@@ -71,7 +71,8 @@ std::string findings_to_json(const std::vector<Finding>& findings) {
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "raw-primitive",     "mutex-annotation", "fault-site-sync",
-      "handle-discipline", "doc-drift",        "zilint-allow",
+      "handle-discipline", "doc-drift",        "isa-confinement",
+      "zilint-allow",
   };
   return kNames;
 }
@@ -93,6 +94,10 @@ const std::map<std::string, std::string>& rule_descriptions() {
       {"doc-drift",
        "ZI_* env var or StepReport field out of sync between code and the "
        "marker-delimited doc tables"},
+      {"isa-confinement",
+       "ISA-specific code (target attributes, #pragma GCC target, SIMD "
+       "intrinsics or their headers) outside the kernel files that own a "
+       "vector tier, or an -m<isa> flag in a CMakeLists.txt"},
       {"zilint-allow", "zilint:allow naming an unknown rule"},
   };
   return kDescriptions;
@@ -362,6 +367,13 @@ bool is_source_ext(const fs::path& p) {
   return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
 }
 
+// Directories no rule looks into: fixture trees, build trees, and hidden
+// ones (.git, .bench_build).
+bool skipped_dir(const std::string& name) {
+  return name == "zilint_fixtures" || name.rfind("build", 0) == 0 ||
+         (!name.empty() && name[0] == '.');
+}
+
 void scan_tree(const fs::path& root, const std::string& subdir,
                std::vector<ScannedFile>& out) {
   const fs::path base = root / subdir;
@@ -370,9 +382,7 @@ void scan_tree(const fs::path& root, const std::string& subdir,
   for (auto it = fs::recursive_directory_iterator(base);
        it != fs::recursive_directory_iterator(); ++it) {
     const std::string name = it->path().filename().string();
-    if (it->is_directory() &&
-        (name == "zilint_fixtures" || name.rfind("build", 0) == 0 ||
-         name == ".git")) {
+    if (it->is_directory() && skipped_dir(name)) {
       it.disable_recursion_pending();
       continue;
     }
@@ -858,6 +868,92 @@ void rule_doc_drift(const Project& p, std::vector<Finding>& findings) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: isa-confinement
+
+// The kernel files that own a vector tier (common/kernel_tier.hpp). Only
+// they may name an ISA; everything else builds for the x86-64 baseline, so
+// one CPU-feature check decides what runs. Like the raw-primitive
+// whitelist, extending this list is a reviewed change to the tool.
+const std::set<std::string>& isa_tier_files() {
+  static const std::set<std::string> kFiles = {
+      "src/common/half.cpp",
+      "src/tensor/ops.cpp",
+      "src/optim/adam.cpp",
+  };
+  return kFiles;
+}
+
+void rule_isa_confinement(const Project& p, std::vector<Finding>& findings) {
+  struct Pattern {
+    std::regex re;
+    const char* what;
+  };
+  // In the order tried; a line reports its first match. String contents
+  // are blanked in the scanned code, so target("...") keeps its quotes.
+  static const Pattern kPatterns[] = {
+      {std::regex(R"(#\s*pragma\s+GCC\s+target\b)"), "#pragma GCC target"},
+      {std::regex(R"(\btarget(_clones)?\s*\(\s*")"), "target attribute"},
+      {std::regex(R"(#\s*include\s*<\w*intrin\.h>)"), "intrinsics header"},
+      {std::regex(R"(\b(_mm\d*_\w+|_MM_\w+|__m(64|128|256|512)\w*)\b)"),
+       "SIMD intrinsic"},
+  };
+  for (const auto* files : {&p.src, &p.aux}) {
+    for (const auto& f : *files) {
+      if (isa_tier_files().count(f.path) != 0) continue;
+      for (std::size_t i = 0; i < f.code.size(); ++i) {
+        for (const Pattern& pat : kPatterns) {
+          if (std::regex_search(f.code[i], pat.re)) {
+            findings.push_back(
+                {f.path, static_cast<int>(i + 1), "isa-confinement",
+                 std::string(pat.what) +
+                     " outside the kernel files that own a vector tier "
+                     "(src/common/half.cpp, src/tensor/ops.cpp, "
+                     "src/optim/adam.cpp); see common/kernel_tier.hpp"});
+            break;  // one finding per line
+          }
+        }
+      }
+    }
+  }
+
+  // -m<isa> in any CMakeLists.txt: one flag would move every target off the
+  // baseline, runtime dispatch and all. Text after '#' is a comment.
+  static const std::regex kIsaFlag(
+      R"((^|[\s"'(;])-m(arch=\S+|avx\w*|sse\w*|ssse3|f16c|fma\w*|bmi\w*|)"
+      R"(popcnt|lzcnt|movbe|aes|pclmul|sha|vaes|gfni|amx\w*|native)\b)");
+  const fs::path root(p.root);
+  if (!fs::is_directory(root)) return;
+  std::vector<fs::path> lists;
+  for (auto it = fs::recursive_directory_iterator(root);
+       it != fs::recursive_directory_iterator(); ++it) {
+    if (it->is_directory() && skipped_dir(it->path().filename().string())) {
+      it.disable_recursion_pending();
+      continue;
+    }
+    if (it->is_regular_file() && it->path().filename() == "CMakeLists.txt") {
+      lists.push_back(it->path());
+    }
+  }
+  std::sort(lists.begin(), lists.end());
+  for (const auto& list : lists) {
+    std::vector<std::string> lines;
+    read_lines(list, lines);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string code = lines[i].substr(0, lines[i].find('#'));
+      std::smatch m;
+      if (std::regex_search(code, m, kIsaFlag)) {
+        findings.push_back(
+            {fs::relative(list, root).generic_string(),
+             static_cast<int>(i + 1), "isa-confinement",
+             "ISA flag -m" + m[2].str() +
+                 " in a CMakeLists.txt; the build targets the x86-64 "
+                 "baseline and the kernels pick their tier at run time"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -880,6 +976,7 @@ std::vector<Finding> run_project(const Options& options) {
   rule_fault_site_sync(p, findings);
   rule_handle_discipline(p, findings);
   rule_doc_drift(p, findings);
+  rule_isa_confinement(p, findings);
 
   // zilint:allow with an unknown rule name is itself a finding; a typo'd
   // suppression must never silently stop suppressing.

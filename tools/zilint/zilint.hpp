@@ -30,6 +30,12 @@
 //                      vice versa); every StepReport field emitted by
 //                      obs/metrics.cpp must have a row in DESIGN.md's
 //                      marker-delimited field table (and vice versa).
+//   isa-confinement    target("...") attributes, #pragma GCC target, the
+//                      <*intrin.h> headers and _mm* intrinsics anywhere but
+//                      the kernel files that own a vector tier (half.cpp,
+//                      ops.cpp, adam.cpp), and -m<isa> flags in any
+//                      CMakeLists.txt: the build stays at the x86-64
+//                      baseline and one CPU-feature check picks the tier.
 //
 // Suppression: `// zilint:allow(rule)` or `// zilint:allow(rule1,rule2)`,
 // optionally followed by `: reason`. It applies to findings on its own line,
