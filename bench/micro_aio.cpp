@@ -1,10 +1,15 @@
 // Microbenchmarks for the DeepNVMe-analog async I/O engine (Sec. 6.3):
-// throughput vs block size, worker count, and queue depth; pinned-pool
-// acquire/release; NVMe-store extent roundtrips.
+// throughput vs block size, worker count, and queue depth; bursts of small
+// reads at the zi_bench shape; pinned-pool acquire/release; NVMe-store
+// extent roundtrips.
 #include <benchmark/benchmark.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <filesystem>
+#include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "aio/aio_engine.hpp"
@@ -87,6 +92,52 @@ void BM_AioQueueDepth(benchmark::State& state) {
                           depth * static_cast<std::int64_t>(kChunk));
 }
 BENCHMARK(BM_AioQueueDepth)->Arg(1)->Arg(4)->Arg(16)->MinTime(0.1);
+
+// The zi_bench shape: two workers built on a thread whose mask holds two
+// CPUs (zi_bench gives its AIO workers a shared 2-CPU mask) and bursts of
+// six 128 KiB reads — one optimizer chunk's three state reads, twice. The
+// time per burst shows whether the two workers run side by side.
+void BM_ReadBurst(benchmark::State& state) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  }
+  if (cpus.size() < 2) {
+    state.SkipWithError("needs two CPUs");
+    return;
+  }
+  AioConfig cfg;
+  cfg.num_workers = 2;
+  std::unique_ptr<AioEngine> engine;
+  std::thread([&] {
+    cpu_set_t two;
+    CPU_ZERO(&two);
+    CPU_SET(cpus[cpus.size() - 2], &two);
+    CPU_SET(cpus[cpus.size() - 1], &two);
+    pthread_setaffinity_np(pthread_self(), sizeof(two), &two);
+    engine = std::make_unique<AioEngine>(cfg);
+  }).join();
+  AioFile* f = engine->open(bench_dir() / "burst.bin");
+  constexpr std::size_t kRead = 128 << 10;
+  constexpr int kBurst = 6;
+  std::vector<std::byte> buf(kBurst * kRead, std::byte{3});
+  engine->write(f, 0, buf);
+  std::vector<AioStatus> statuses(kBurst);
+  for (auto _ : state) {
+    for (int i = 0; i < kBurst; ++i) {
+      const std::size_t off = static_cast<std::size_t>(i) * kRead;
+      statuses[static_cast<std::size_t>(i)] = engine->submit_read(
+          f, off, std::span<std::byte>(buf).subspan(off, kRead));
+    }
+    for (const AioStatus& s : statuses) s.wait();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_ReadBurst)->MinTime(0.5)->UseRealTime();
 
 void BM_PinnedPoolAcquireRelease(benchmark::State& state) {
   PinnedBufferPool pool(1 << 20, 8);

@@ -1,5 +1,8 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <new>
 
@@ -16,20 +19,33 @@ namespace {
 Mutex g_registry_mutex;
 std::vector<ThreadPool*> g_registry ZI_GUARDED_BY(g_registry_mutex);
 
+/// The CPUs the calling thread may run on, ascending (empty if unknown).
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+    return cpus;
+  }
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+void pin_calling_thread(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  // Best effort: a refused mask leaves the worker where it was.
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::string name)
-    : name_(std::move(name)) {
-  if (num_threads == 0) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] {
-      if (!name_.empty()) {
-        Tracer::set_thread_name(name_ + std::to_string(i));
-      }
-      worker_loop();
-    });
-  }
+    : name_(std::move(name)), cpus_(allowed_cpus()) {
+  spawn_workers(num_threads == 0 ? 1 : num_threads);
   LockGuard lock(g_registry_mutex);
   g_registry.push_back(this);
 }
@@ -79,9 +95,16 @@ void ThreadPool::restart_after_fork() {
     active_ = 0;
     stop_ = false;
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  spawn_workers(num_threads);
+}
+
+void ThreadPool::spawn_workers(std::size_t n) {
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
+      // Workers sharing a multi-CPU mask would otherwise be stacked on one
+      // CPU by the kernel and run their I/O one at a time.
+      if (cpus_.size() > 1) pin_calling_thread(cpus_[i % cpus_.size()]);
       if (!name_.empty()) {
         Tracer::set_thread_name(name_ + std::to_string(i));
       }

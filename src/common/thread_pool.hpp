@@ -1,11 +1,15 @@
 // Fixed-size worker thread pool.
 //
 // Used by the aio engine (I/O worker parallelization, Sec. 6.3 "aggressive
-// parallelization of I/O requests") and by the chunked optimizer step. Tasks
-// are type-erased closures; submit() returns a std::future for completion /
-// exception propagation, matching the "bulk read/write requests for
-// asynchronous completion, and explicit synchronization requests" design of
-// DeepNVMe.
+// parallelization of I/O requests"). Tasks are type-erased closures;
+// submit() returns a std::future for completion / exception propagation,
+// matching the "bulk read/write requests for asynchronous completion, and
+// explicit synchronization requests" design of DeepNVMe.
+//
+// Worker placement: a pool built on a thread whose CPU mask holds k > 1
+// CPUs pins worker i to the (i mod k)-th of them, so workers given a shared
+// mask run side by side instead of being stacked on one CPU by the kernel.
+// A 1-CPU mask is left as is. The placement is re-applied after fork.
 #pragma once
 
 #include <deque>
@@ -21,9 +25,10 @@ namespace zi {
 
 class ThreadPool {
  public:
-  /// Start `num_threads` workers (at least 1). When `name` is non-empty the
-  /// workers register Perfetto tracks "<name>0", "<name>1", ... with the
-  /// tracer (obs/trace.hpp).
+  /// Start `num_threads` workers (at least 1), placed on the calling
+  /// thread's CPUs as described above. When `name` is non-empty the workers
+  /// register Perfetto tracks "<name>0", "<name>1", ... with the tracer
+  /// (obs/trace.hpp).
   explicit ThreadPool(std::size_t num_threads, std::string name = {});
   ~ThreadPool();
 
@@ -64,8 +69,13 @@ class ThreadPool {
  private:
   void worker_loop() ZI_EXCLUDES(mutex_);
   void restart_after_fork();
+  /// Start workers 0 .. n-1, each pinning itself and naming its track.
+  void spawn_workers(std::size_t n);
 
   std::string name_;  ///< immutable after construction
+  /// The constructing thread's CPUs, ascending; immutable after
+  /// construction.
+  std::vector<int> cpus_;
   mutable Mutex mutex_;
   CondVar cv_task_;
   CondVar cv_idle_;

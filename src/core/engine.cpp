@@ -35,7 +35,7 @@ ZeroEngine::ZeroEngine(TrainableModel& model, Communicator& comm,
            config.gpu_prefragment_chunk, config.spill_on_oom),
       store_(res_, config_, model.module().all_parameters(), comm.rank(),
              comm.size()),
-      driver_(store_, res_, comm_, config_),
+      driver_(store_, config_),
       scaler_(config_.loss_scale) {
   ZI_CHECK_MSG(!config_.inference_only,
                "ZeroEngine trains; forward-only configs belong to "
@@ -196,45 +196,26 @@ ZeroEngine::StepStats ZeroEngine::train_step(
   ++opt_step_;
   ZI_TRACE_SPAN("engine", "opt", "\"opt_step\":" + std::to_string(opt_step_));
   const auto opt_t0 = Clock::now();
-  if (coordinator_ != nullptr && store_.broadcast_mode()) {
-    // Broadcast baseline: the updated fp16 shards are allgathered and the
-    // whole parameter written back on its owning rank.
-    std::vector<half> padded;
-    driver_.step(
-        opt_step_, cur_scale, clip, /*write_param_shards=*/false,
-        [&](Parameter* p, std::span<const half> shard) {
-          const ShardSpec& spec = store_.opt_spec(p);
-          padded.resize(static_cast<std::size_t>(spec.padded_numel()));
-          comm_.allgather<half>(shard, padded);
-          if (store_.param_owner(p) == comm_.rank()) {
-            store_.store_param_full(
-                p, std::span<const half>(
-                       padded.data(), static_cast<std::size_t>(p->numel())));
-          }
-        });
-  } else if (coordinator_ != nullptr) {
-    // Stage 3: updated fp16 shards go straight back to their tier; full
-    // parameters are re-gathered on demand next iteration.
-    driver_.step(opt_step_, cur_scale, clip, /*write_param_shards=*/true,
-                 nullptr);
-  } else {
-    // Stages 0-2: rebuild the replicated fp16 parameters from the updated
-    // shards (allgather when the optimizer is partitioned).
-    std::vector<half> padded;
-    driver_.step(
-        opt_step_, cur_scale, clip, /*write_param_shards=*/false,
-        [&](Parameter* p, std::span<const half> shard) {
-          const ShardSpec& spec = store_.opt_spec(p);
-          Tensor& fp16 = local_store_->fp16(p);
-          if (spec.world == 1) {
-            std::copy_n(shard.begin(), p->numel(), fp16.data<half>());
-          } else {
-            padded.resize(static_cast<std::size_t>(spec.padded_numel()));
-            comm_.allgather<half>(shard, padded);
-            std::copy_n(padded.begin(), p->numel(), fp16.data<half>());
-          }
-        });
-  }
+  // Stage 3 writes the updated fp16 shards straight back to their tier;
+  // full parameters are re-gathered on demand next iteration. Otherwise the
+  // updated shards are allgathered into whole parameters: stages 0-2
+  // rebuild their replicas, the broadcast baseline writes each back on its
+  // owning rank.
+  const bool sharded = coordinator_ != nullptr && !store_.broadcast_mode();
+  driver_.step(
+      opt_step_, cur_scale, clip, /*write_param_shards=*/sharded,
+      sharded ? OptimizerDriver::UpdatedFp16Fn()
+              : [&](Parameter* p, std::span<const half> shard) {
+                  const std::vector<half> full = unshard(
+                      store_.opt_spec(p),
+                      std::vector<half>(shard.begin(), shard.end()));
+                  if (local_store_ != nullptr) {
+                    std::copy(full.begin(), full.end(),
+                              local_store_->fp16(p).data<half>());
+                  } else if (store_.param_owner(p) == comm_.rank()) {
+                    store_.store_param_full(p, full);
+                  }
+                });
   if (coordinator_ != nullptr) coordinator_->end_iteration();
   st.opt_seconds = seconds(opt_t0, Clock::now());
   if (MetricsSink::enabled()) {
@@ -488,28 +469,29 @@ std::vector<half> ZeroEngine::gather_full_fp16(Parameter* p) {
   const ShardSpec& spec = store_.param_spec(p);
   std::vector<half> shard(static_cast<std::size_t>(spec.shard_elems));
   store_.load_param_shard(p, shard);
-  std::vector<half> padded(static_cast<std::size_t>(spec.padded_numel()));
-  comm_.allgather<half>(shard, padded);
-  compact_gathered<half>(spec, padded);  // weighted slots -> flat layout
-  padded.resize(static_cast<std::size_t>(p->numel()));
-  return padded;
+  return unshard(spec, std::move(shard));
 }
 
 std::vector<float> ZeroEngine::gather_full_f32(Parameter* p,
-                                               TierBuffer& shard_buf) {
+                                               const TierSlice& shard_buf) {
   const ShardSpec& spec = store_.opt_spec(p);
   std::vector<float> shard(static_cast<std::size_t>(spec.shard_elems));
   shard_buf.load({reinterpret_cast<std::byte*>(shard.data()),
                   shard.size() * sizeof(float)});
-  if (spec.world == 1) {
-    shard.resize(static_cast<std::size_t>(p->numel()));
-    return shard;
+  return unshard(spec, std::move(shard));
+}
+
+template <typename T>
+std::vector<T> ZeroEngine::unshard(const ShardSpec& spec,
+                                   std::vector<T> shard) {
+  if (spec.world > 1) {
+    std::vector<T> padded(static_cast<std::size_t>(spec.padded_numel()));
+    comm_.allgather<T>(shard, padded);
+    compact_gathered<T>(spec, padded);  // weighted slots -> flat layout
+    shard = std::move(padded);
   }
-  std::vector<float> padded(static_cast<std::size_t>(spec.padded_numel()));
-  comm_.allgather<float>(shard, padded);
-  compact_gathered<float>(spec, padded);  // weighted slots -> flat layout
-  padded.resize(static_cast<std::size_t>(p->numel()));
-  return padded;
+  shard.resize(static_cast<std::size_t>(spec.numel));
+  return shard;
 }
 
 void ZeroEngine::save_checkpoint(const std::string& path) {
@@ -610,7 +592,7 @@ void ZeroEngine::load_checkpoint(const std::string& path) {
     // Optimizer state: this rank's opt-spec slice.
     const ShardSpec& ospec = store_.opt_spec(p);
     const int orank = ospec.world == 1 ? 0 : comm_.rank();
-    auto store_slice = [&](const std::vector<float>& full, TierBuffer& buf) {
+    auto store_slice = [&](const std::vector<float>& full, TierSlice buf) {
       f32.assign(static_cast<std::size_t>(ospec.shard_elems), 0.0f);
       const std::int64_t valid = ospec.valid_elems(orank);
       for (std::int64_t i = 0; i < valid; ++i) {

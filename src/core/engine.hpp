@@ -119,7 +119,11 @@ class ZeroEngine {
   /// Assemble the full fp16 parameter values of `p` on every rank.
   std::vector<half> gather_full_fp16(Parameter* p);
   /// Assemble a full fp32 optimizer-state tensor from its shards.
-  std::vector<float> gather_full_f32(Parameter* p, TierBuffer& shard);
+  std::vector<float> gather_full_f32(Parameter* p, const TierSlice& shard);
+  /// The flat full tensor from this rank's `shard` (allgathered unless the
+  /// layout has one rank).
+  template <typename T>
+  std::vector<T> unshard(const ShardSpec& spec, std::vector<T> shard);
 
   TrainableModel& model_;
   Communicator& comm_;

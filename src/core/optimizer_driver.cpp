@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/half.hpp"
-#include "move/pipeline.hpp"
 #include "optim/adam.hpp"
 #include "tensor/ops.hpp"
 
@@ -18,15 +17,30 @@ std::span<std::byte> bytes_of(std::span<float> s) {
 std::span<const std::byte> cbytes_of(std::span<const float> s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size_bytes()};
 }
+std::uint64_t byte_offset(std::int64_t elem) {
+  return static_cast<std::uint64_t>(elem) * sizeof(float);
+}
 // Gradient elements widened per block in local_grad_sqnorm.
 constexpr std::size_t kSqnormBlock = 1024;
 }  // namespace
 
-OptimizerDriver::OptimizerDriver(ModelStateStore& store, RankResources& res,
-                                 Communicator& comm,
+OptimizerDriver::OptimizerDriver(ModelStateStore& store,
                                  const EngineConfig& config)
-    : store_(store), res_(res), comm_(comm), config_(config) {
-  ZI_CHECK(config_.optimizer_chunk_elems > 0);
+    : store_(store), config_(config), chunk_elems_(config.optimizer_chunk_elems) {
+  ZI_CHECK(chunk_elems_ > 0);
+  for (Parameter* p : store_.params()) {
+    segments_.push_back(
+        {p, store_.opt_offset(p), store_.opt_spec(p).shard_elems});
+  }
+  if (store_.optimizer_tier() == Tier::kNvme) {
+    const auto cap =
+        static_cast<std::size_t>(std::min(chunk_elems_, store_.opt_elems()));
+    for (ChunkBuf& b : pipeline_.buffers()) {
+      for (std::vector<float>& v : b.state) v.resize(cap);
+      b.grad16.resize(cap);
+      b.updated16.resize(cap);
+    }
+  }
 }
 
 bool OptimizerDriver::local_overflow() const {
@@ -68,137 +82,118 @@ void OptimizerDriver::step(std::int64_t step_num, float grad_scale,
                            float clip_coef, bool write_param_shards,
                            const UpdatedFp16Fn& on_updated) {
   ++stats_.steps;
-  for (Parameter* p : store_.params()) {
-    if (store_.optimizer_tier() == Tier::kNvme) {
-      ZI_CHECK_MSG(on_updated == nullptr,
-                   "NVMe optimizer state requires partitioned parameters");
-      step_chunked_nvme(p, step_num, grad_scale, clip_coef,
-                        write_param_shards);
-    } else {
-      step_direct(p, step_num, grad_scale, clip_coef, write_param_shards,
-                  on_updated);
-    }
+  if (segments_.empty()) return;
+  if (store_.optimizer_tier() == Tier::kNvme) {
+    ZI_CHECK_MSG(on_updated == nullptr,
+                 "NVMe optimizer state requires partitioned parameters");
+    step_chunked_nvme(step_num, grad_scale, clip_coef, write_param_shards);
+  } else {
+    step_direct(step_num, grad_scale, clip_coef, write_param_shards,
+                on_updated);
   }
 }
 
-void OptimizerDriver::step_direct(Parameter* p, std::int64_t step_num,
-                                  float grad_scale, float clip_coef,
-                                  bool write_param_shards,
+void OptimizerDriver::step_direct(std::int64_t step_num, float grad_scale,
+                                  float clip_coef, bool write_param_shards,
                                   const UpdatedFp16Fn& on_updated) {
-  const ShardSpec& spec = store_.opt_spec(p);
-  const auto n = static_cast<std::size_t>(spec.shard_elems);
-
-  std::vector<half> grad16(n);
-  store_.load_grad_shard(p, grad16);
-
-  float* master = reinterpret_cast<float*>(store_.master(p).data());
-  float* momentum = reinterpret_cast<float*>(store_.momentum(p).data());
-  float* variance = reinterpret_cast<float*>(store_.variance(p).data());
-  ZI_CHECK_MSG(master != nullptr, "optimizer state for " << p->name()
-                                                         << " not addressable");
-  // fp16 gradient in, fp16 write-back of the updated shard out.
-  std::vector<half> updated16(n);
-  fused_adam_step(config_.adam, step_num, {master, n}, {momentum, n},
-                  {variance, n}, grad16, updated16, grad_scale, clip_coef);
-  ++stats_.direct_params;
-  if (write_param_shards) {
-    store_.store_param_shard_async(p, updated16).wait();
+  auto* master = reinterpret_cast<float*>(store_.master_region().data());
+  auto* momentum = reinterpret_cast<float*>(store_.momentum_region().data());
+  auto* variance = reinterpret_cast<float*>(store_.variance_region().data());
+  ZI_CHECK_MSG(master != nullptr, "optimizer state not addressable");
+  for (const Segment& s : segments_) {
+    const auto n = static_cast<std::size_t>(s.elems);
+    const auto at = static_cast<std::size_t>(s.offset);
+    grad16_.resize(n);
+    updated16_.resize(n);
+    store_.load_grad_shard(s.p, grad16_);
+    // fp16 gradient in, fp16 write-back of the updated shard out.
+    fused_adam_step(config_.adam, step_num, {master + at, n},
+                    {momentum + at, n}, {variance + at, n}, grad16_,
+                    updated16_, grad_scale, clip_coef);
+    ++stats_.direct_params;
+    if (write_param_shards) {
+      store_.store_param_shard_async(s.p, updated16_).wait();
+    }
+    if (on_updated) on_updated(s.p, updated16_);
   }
-  if (on_updated) on_updated(p, updated16);
 }
 
-void OptimizerDriver::step_chunked_nvme(Parameter* p, std::int64_t step_num,
+void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
                                         float grad_scale, float clip_coef,
                                         bool write_param_shards) {
-  const ShardSpec& spec = store_.opt_spec(p);
-  const std::int64_t total = spec.shard_elems;
-  const std::int64_t chunk = config_.optimizer_chunk_elems;
-  const std::int64_t num_chunks = (total + chunk - 1) / chunk;
-
-  // Double-buffered pipeline (DoubleBufferPipeline owns the reuse-safety
-  // and quiescence invariants): while chunk c computes, chunk c+1's state
-  // reads and chunk c-1's write-backs are in flight (Sec. 5.2.2). With
-  // overlap disabled, the same loop degenerates to sequential
-  // load → compute → store (the ablation baseline).
-  struct ChunkBuf {
-    std::vector<float> master, momentum, variance;
-    std::vector<half> grad16, updated16;
-    TransferHandle load_m, load_mom, load_var;
-    TransferHandle store_m, store_mom, store_var, store_p;
-    std::int64_t elems = 0;
+  const std::int64_t total = store_.opt_elems();
+  const std::int64_t chunk = chunk_elems_;
+  const std::array<TierBuffer*, 3> regions{&store_.master_region(),
+                                           &store_.momentum_region(),
+                                           &store_.variance_region()};
+  // Chunk c covers region elements [c * chunk, c * chunk + n).
+  auto elems_of = [&](std::int64_t c) {
+    return static_cast<std::size_t>(std::min(chunk, total - c * chunk));
   };
-  DoubleBufferPipeline<ChunkBuf> pipeline;
-  for (auto& b : pipeline.buffers()) {
-    const auto cap = static_cast<std::size_t>(std::min(chunk, total));
-    b.master.resize(cap);
-    b.momentum.resize(cap);
-    b.variance.resize(cap);
-    b.grad16.resize(cap);
-    b.updated16.resize(cap);
-  }
+  // Calls fn(p, first element in p's shard, first element in the chunk,
+  // elements) for each parameter segment of chunk c, in region order.
+  auto for_each_segment = [&](std::int64_t c, auto&& fn) {
+    const std::int64_t lo = c * chunk;
+    const std::int64_t hi = lo + static_cast<std::int64_t>(elems_of(c));
+    auto it = std::upper_bound(
+        segments_.begin(), segments_.end(), lo,
+        [](std::int64_t v, const Segment& s) { return v < s.offset + s.elems; });
+    for (; it != segments_.end() && it->offset < hi; ++it) {
+      const std::int64_t b = std::max(lo, it->offset);
+      const std::int64_t e = std::min(hi, it->offset + it->elems);
+      fn(it->p, b - it->offset, static_cast<std::size_t>(b - lo),
+         static_cast<std::size_t>(e - b));
+    }
+  };
 
-  pipeline.run(
-      num_chunks, config_.overlap_transfers,
+  // DoubleBufferPipeline owns the reuse-safety and quiescence invariants.
+  // With overlap disabled, the same loop degenerates to sequential
+  // load → compute → store (the ablation baseline).
+  pipeline_.run(
+      (total + chunk - 1) / chunk, config_.overlap_transfers,
       /*issue_load=*/
       [&](std::int64_t c, ChunkBuf& b) {
-        const std::int64_t lo = c * chunk;
-        const std::int64_t n = std::min(chunk, total - lo);
-        b.elems = n;
-        const std::uint64_t byte_off =
-            static_cast<std::uint64_t>(lo) * sizeof(float);
-        const auto un = static_cast<std::size_t>(n);
+        const std::size_t n = elems_of(c);
         // The pipeline blocks on these at the next wait_load tick: latency
         // class, so they overtake the previous chunk's bulk write-backs.
-        b.load_m = store_.master(p).load_async(
-            bytes_of({b.master.data(), un}), byte_off, TransferClass::kLatency);
-        b.load_mom = store_.momentum(p).load_async(
-            bytes_of({b.momentum.data(), un}), byte_off,
-            TransferClass::kLatency);
-        b.load_var = store_.variance(p).load_async(
-            bytes_of({b.variance.data(), un}), byte_off,
-            TransferClass::kLatency);
+        for (std::size_t k = 0; k < regions.size(); ++k) {
+          b.loads.push_back(regions[k]->load_async(
+              bytes_of({b.state[k].data(), n}), byte_offset(c * chunk),
+              TransferClass::kLatency));
+        }
       },
-      /*wait_load=*/
-      [](ChunkBuf& b) {
-        b.load_m.wait();
-        b.load_mom.wait();
-        b.load_var.wait();
-      },
+      /*wait_load=*/[](ChunkBuf& b) { wait_all(b.loads); },
       /*compute=*/
       [&](std::int64_t c, ChunkBuf& b) {
-        const std::int64_t lo = c * chunk;
-        const auto n = static_cast<std::size_t>(b.elems);
-        // Gradient chunk from the gradient tier (chunked like the state so
-        // CPU staging memory stays bounded).
-        store_.load_grad_shard_chunk(p, {b.grad16.data(), n}, lo);
-        fused_adam_step(config_.adam, step_num, {b.master.data(), n},
-                        {b.momentum.data(), n}, {b.variance.data(), n},
+        const std::size_t n = elems_of(c);
+        // Gradients from the gradient tier, chunked like the state so CPU
+        // staging memory stays bounded.
+        for_each_segment(c, [&](Parameter* p, std::int64_t from,
+                                std::size_t at, std::size_t len) {
+          store_.load_grad_shard(p, {b.grad16.data() + at, len}, from);
+        });
+        fused_adam_step(config_.adam, step_num, {b.state[0].data(), n},
+                        {b.state[1].data(), n}, {b.state[2].data(), n},
                         {b.grad16.data(), n}, {b.updated16.data(), n},
                         grad_scale, clip_coef);
         ++stats_.chunks_pipelined;
 
-        const std::uint64_t byte_off =
-            static_cast<std::uint64_t>(lo) * sizeof(float);
         // Write-backs drain in the background: bulk class (the starvation
         // bound guarantees they still complete under fetch pressure).
-        b.store_m = store_.master(p).store_async(
-            cbytes_of({b.master.data(), n}), byte_off, TransferClass::kBulk);
-        b.store_mom = store_.momentum(p).store_async(
-            cbytes_of({b.momentum.data(), n}), byte_off, TransferClass::kBulk);
-        b.store_var = store_.variance(p).store_async(
-            cbytes_of({b.variance.data(), n}), byte_off, TransferClass::kBulk);
+        for (std::size_t k = 0; k < regions.size(); ++k) {
+          b.stores.push_back(regions[k]->store_async(
+              cbytes_of({b.state[k].data(), n}), byte_offset(c * chunk),
+              TransferClass::kBulk));
+        }
         if (write_param_shards) {
-          b.store_p = store_.store_param_shard_async(
-              p, std::span<const half>(b.updated16.data(), n), lo);
+          for_each_segment(c, [&](Parameter* p, std::int64_t from,
+                                  std::size_t at, std::size_t len) {
+            b.stores.push_back(store_.store_param_shard_async(
+                p, {b.updated16.data() + at, len}, from));
+          });
         }
       },
-      /*wait_store=*/
-      [](ChunkBuf& b) {
-        b.store_m.wait();
-        b.store_mom.wait();
-        b.store_var.wait();
-        b.store_p.wait();
-      });
+      /*wait_store=*/[](ChunkBuf& b) { wait_all(b.stores); });
 }
 
 }  // namespace zi

@@ -1,24 +1,30 @@
 // OptimizerDriver — the partitioned, placement-aware optimizer step
 // (Sec. 5.2.2 "Efficiency w.r.t Optimizer States").
 //
-// Each rank updates only the optimizer-state shard it owns. Placement:
-//   * GPU / CPU tier: state tensors are directly addressable; one fused
-//     Adam pass per parameter shard.
+// Each rank updates only the state it owns: the flat master, momentum and
+// variance regions of its ModelStateStore. Placement:
+//   * GPU / CPU tier: the regions are directly addressable; fused Adam runs
+//     in place over each parameter's slice.
 //   * NVMe tier: state is brought "from NVMe to CPU memory and back in
-//     chunks that can fit in the CPU memory ... one chunk at a time", with
-//     a software pipeline that overlaps the next chunk's reads with the
-//     current chunk's compute and the previous chunk's write-back — the
-//     read/compute/write overlap the infinity offload engine provides.
+//     chunks that can fit in the CPU memory ... one chunk at a time". One
+//     DoubleBufferPipeline sweeps the regions in chunks that cross
+//     parameter boundaries: each chunk is one read and one write per state,
+//     overlapped with its neighbours' I/O; the fp16 gradient read and
+//     parameter write-back go per parameter segment. The two chunk buffers
+//     live as long as the driver.
 //
-// The driver also owns overflow detection (scanning fp16 gradient shards)
-// and the global gradient-norm contribution for clipping.
+// Adam is per element and the overflow check and clip coefficient are
+// settled before the step, so no chunking moves a bit. The driver also
+// owns overflow detection and the gradient-norm contribution for clipping.
 #pragma once
 
+#include <array>
 #include <functional>
+#include <vector>
 
-#include "comm/world.hpp"
 #include "core/state_store.hpp"
 #include "core/zero_config.hpp"
+#include "move/pipeline.hpp"
 
 namespace zi {
 
@@ -27,7 +33,7 @@ class OptimizerDriver {
   struct Stats {
     std::uint64_t steps = 0;
     std::uint64_t chunks_pipelined = 0;  ///< NVMe chunks processed
-    std::uint64_t direct_params = 0;     ///< shards updated in-place
+    std::uint64_t direct_params = 0;     ///< shards updated in place
   };
 
   /// Invoked with each parameter's updated fp16 shard (stages 0-2 use this
@@ -35,8 +41,7 @@ class OptimizerDriver {
   using UpdatedFp16Fn =
       std::function<void(Parameter*, std::span<const half>)>;
 
-  OptimizerDriver(ModelStateStore& store, RankResources& res,
-                  Communicator& comm, const EngineConfig& config);
+  OptimizerDriver(ModelStateStore& store, const EngineConfig& config);
 
   /// True if any gradient shard on this rank contains Inf/NaN (local —
   /// the engine ORs across ranks).
@@ -54,17 +59,31 @@ class OptimizerDriver {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  void step_direct(Parameter* p, std::int64_t step_num, float grad_scale,
-                   float clip_coef, bool write_param_shards,
-                   const UpdatedFp16Fn& on_updated);
-  void step_chunked_nvme(Parameter* p, std::int64_t step_num,
-                         float grad_scale, float clip_coef,
-                         bool write_param_shards);
+  /// One parameter's shard in the flat regions: elements
+  /// [offset, offset + elems).
+  struct Segment {
+    Parameter* p;
+    std::int64_t offset;
+    std::int64_t elems;
+  };
+  /// One NVMe chunk's host copy of the state and its in-flight transfers.
+  struct ChunkBuf {
+    std::array<std::vector<float>, 3> state;  ///< master, momentum, variance
+    std::vector<half> grad16, updated16;
+    std::vector<TransferHandle> loads, stores;
+  };
+
+  void step_direct(std::int64_t step_num, float grad_scale, float clip_coef,
+                   bool write_param_shards, const UpdatedFp16Fn& on_updated);
+  void step_chunked_nvme(std::int64_t step_num, float grad_scale,
+                         float clip_coef, bool write_param_shards);
 
   ModelStateStore& store_;
-  RankResources& res_;
-  Communicator& comm_;
   const EngineConfig& config_;  // reference: LR schedule updates propagate
+  const std::int64_t chunk_elems_;
+  std::vector<Segment> segments_;  ///< in region order
+  DoubleBufferPipeline<ChunkBuf> pipeline_;
+  std::vector<half> grad16_, updated16_;  ///< direct path, one parameter
   Stats stats_;
 };
 

@@ -28,9 +28,6 @@ ModelStateStore::ModelStateStore(RankResources& res,
                                  int rank, int world)
     : res_(res), config_(config), params_(params), rank_(rank), world_(world) {
   entries_.resize(params_.size());
-  std::vector<half> h16_scratch;
-  std::vector<float> f32_scratch;
-
   for (Parameter* p : params_) {
     ZI_CHECK_MSG(p->id() >= 0 &&
                      static_cast<std::size_t>(p->id()) < entries_.size(),
@@ -44,13 +41,29 @@ ModelStateStore::ModelStateStore(RankResources& res,
         config_.optimizer_partitioned()
             ? make_shard_spec(p->numel(), world_, config_.rank_weights)
             : make_shard_spec(p->numel(), 1);
-    const auto shard_n = static_cast<std::size_t>(e.opt_spec.shard_elems);
+    e.opt_offset = opt_elems_;
+    opt_elems_ += e.opt_spec.shard_elems;
+  }
 
-    // Forward-only streaming (inference_only): no optimizer will ever run,
-    // so the fp32 master/momentum/variance shards and the fp16 gradient
-    // shard are never allocated — the store holds just the fp16 parameter
-    // shards below. The fp16 init is identical either way, so serving
-    // weights match the training initialization bit-for-bit.
+  // Forward-only streaming (inference_only): no optimizer will ever run,
+  // so the fp32 regions and the fp16 gradient shards are never allocated —
+  // the store holds just the fp16 parameter shards below. The fp16 init is
+  // identical either way, so serving weights match the training
+  // initialization bit-for-bit.
+  if (!config_.inference_only && opt_elems_ > 0) {
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(opt_elems_) * sizeof(float);
+    const Tier opt_tier = config_.optimizer_placement;
+    master_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
+    momentum_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
+    variance_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
+  }
+
+  std::vector<half> h16_scratch;
+  std::vector<float> f32_scratch;
+  for (Parameter* p : params_) {
+    Entry& e = entries_[static_cast<std::size_t>(p->id())];
+    const auto shard_n = static_cast<std::size_t>(e.opt_spec.shard_elems);
     if (!config_.inference_only) {
       // Partitioned init: the fp16 values this rank would see after
       // rounding. Master weights are initialized FROM the fp16-rounded
@@ -61,19 +74,13 @@ ModelStateStore::ModelStateStore(RankResources& res,
       init_shard_fp16(*p, e.opt_spec, opt_rank, h16_scratch);
       f32_scratch.resize(shard_n);
       halves_to_floats(h16_scratch, f32_scratch);
-
-      const Tier opt_tier = config_.optimizer_placement;
-      const std::uint64_t f32_bytes = shard_n * sizeof(float);
-      e.master = std::make_unique<TierBuffer>(res_, opt_tier, f32_bytes);
-      e.master->store({reinterpret_cast<const std::byte*>(f32_scratch.data()),
-                       f32_bytes});
-      std::memset(f32_scratch.data(), 0, f32_bytes);
-      e.momentum = std::make_unique<TierBuffer>(res_, opt_tier, f32_bytes);
-      e.momentum->store(
-          {reinterpret_cast<const std::byte*>(f32_scratch.data()), f32_bytes});
-      e.variance = std::make_unique<TierBuffer>(res_, opt_tier, f32_bytes);
-      e.variance->store(
-          {reinterpret_cast<const std::byte*>(f32_scratch.data()), f32_bytes});
+      const std::span<const std::byte> f32_bytes{
+          reinterpret_cast<const std::byte*>(f32_scratch.data()),
+          shard_n * sizeof(float)};
+      master(p).store(f32_bytes);
+      std::fill(f32_scratch.begin(), f32_scratch.end(), 0.0f);
+      momentum(p).store(f32_bytes);
+      variance(p).store(f32_bytes);
 
       e.grad_fp16 = std::make_unique<TierBuffer>(res_, config_.grad_placement,
                                                  shard_n * sizeof(half));
@@ -81,11 +88,15 @@ ModelStateStore::ModelStateStore(RankResources& res,
 
     if (config_.params_partitioned()) {
       if (config_.bandwidth_centric) {
-        // Bandwidth-centric: this rank persists its 1/dp slice.
+        // Bandwidth-centric: this rank persists its 1/dp slice. With the
+        // optimizer partitioned too, the two specs are equal and
+        // h16_scratch already holds this slice: each value is drawn once.
         const auto pshard_n =
             static_cast<std::size_t>(e.param_spec.shard_elems);
-        h16_scratch.resize(pshard_n);
-        init_shard_fp16(*p, e.param_spec, rank_, h16_scratch);
+        if (config_.inference_only || !config_.optimizer_partitioned()) {
+          h16_scratch.resize(pshard_n);
+          init_shard_fp16(*p, e.param_spec, rank_, h16_scratch);
+        }
         e.param_fp16 = std::make_unique<TierBuffer>(
             res_, config_.param_placement, pshard_n * sizeof(half));
         e.param_fp16->store(as_bytes_span(std::span<const half>(h16_scratch)));
@@ -147,11 +158,8 @@ TransferHandle ModelStateStore::load_param_full_async(
 
 void ModelStateStore::store_param_full(const Parameter* p,
                                        std::span<const half> src) {
-  Entry& e = entry(p);
-  ZI_CHECK_MSG(e.param_fp16 != nullptr && broadcast_mode(),
-               "no whole-parameter copy of " << p->name() << " on rank "
-                                             << rank_);
-  e.param_fp16->store(as_bytes_span(src));
+  const_cast<TierBuffer&>(param_full_buffer(p, src.size()))
+      .store(as_bytes_span(src));
 }
 
 const ShardSpec& ModelStateStore::opt_spec(const Parameter* p) const {
@@ -179,9 +187,7 @@ void ModelStateStore::load_param_shard(const Parameter* p,
 
 TransferHandle ModelStateStore::store_param_shard_async(
     const Parameter* p, std::span<const half> src, std::int64_t elem_offset) {
-  Entry& e = entry(p);
-  ZI_CHECK(e.param_fp16 != nullptr);
-  return e.param_fp16->store_async(
+  return const_cast<TierBuffer&>(param_shard_buffer(p)).store_async(
       as_bytes_span(src),
       static_cast<std::uint64_t>(elem_offset) * sizeof(half));
 }
@@ -217,36 +223,26 @@ void ModelStateStore::accumulate_grad_shard(const Parameter* p,
   grad.store(as_bytes_span(std::span<const half>(current)));
 }
 
-void ModelStateStore::load_grad_shard(const Parameter* p,
-                                      std::span<half> dst) const {
-  grad_buffer(p).load(as_bytes_span(dst));
-}
-
-void ModelStateStore::load_grad_shard_chunk(const Parameter* p,
-                                            std::span<half> dst,
-                                            std::int64_t elem_offset) const {
+void ModelStateStore::load_grad_shard(const Parameter* p, std::span<half> dst,
+                                      std::int64_t elem_offset) const {
   grad_buffer(p).load(
       as_bytes_span(dst),
       static_cast<std::uint64_t>(elem_offset) * sizeof(half));
 }
 
-namespace {
-TierBuffer& checked_opt_state(const char* what, TierBuffer* buf,
-                              const Parameter* p) {
-  ZI_CHECK_MSG(buf != nullptr, "no " << what << " state for " << p->name()
-                                     << " (inference_only store)");
-  return *buf;
+TierBuffer& ModelStateStore::checked_region(TierBuffer* region) const {
+  ZI_CHECK_MSG(region != nullptr,
+               "no optimizer state on rank " << rank_
+                                             << " (inference_only store)");
+  return *region;
 }
-}  // namespace
 
-TierBuffer& ModelStateStore::master(const Parameter* p) {
-  return checked_opt_state("master", entry(p).master.get(), p);
-}
-TierBuffer& ModelStateStore::momentum(const Parameter* p) {
-  return checked_opt_state("momentum", entry(p).momentum.get(), p);
-}
-TierBuffer& ModelStateStore::variance(const Parameter* p) {
-  return checked_opt_state("variance", entry(p).variance.get(), p);
+TierSlice ModelStateStore::slice(TierBuffer* region, const Parameter* p) const {
+  const Entry& e = entry(p);
+  return TierSlice(checked_region(region),
+                   static_cast<std::uint64_t>(e.opt_offset) * sizeof(float),
+                   static_cast<std::uint64_t>(e.opt_spec.shard_elems) *
+                       sizeof(float));
 }
 
 }  // namespace zi

@@ -5,7 +5,9 @@
 //   * (stage 3 only) the fp16 parameter shard — the bandwidth-centric
 //     1/dp slice this rank owns (Sec. 6.1);
 //   * the reduced fp16 gradient shard;
-//   * the fp32 optimizer state shards (master weight, momentum, variance).
+// and the fp32 optimizer state (master weight, momentum, variance) as one
+// flat region per state with each parameter's shard at a fixed offset —
+// ZeRO's contiguous buffers (arXiv 1910.02054, Sec. 6.3).
 //
 // For stages 0-2 the optimizer/gradient "shards" use a world of `n` (1 for
 // stage 0), while fp16 parameters stay replicated in a LocalParamStore —
@@ -72,16 +74,26 @@ class ModelStateStore {
   /// grad_shard += src (fp32 accumulation, fp16 storage) — gradient
   /// accumulation across micro-batches.
   void accumulate_grad_shard(const Parameter* p, std::span<const half> src);
-  void load_grad_shard(const Parameter* p, std::span<half> dst) const;
   /// Load dst.size() gradient elements starting at element `elem_offset`.
-  void load_grad_shard_chunk(const Parameter* p, std::span<half> dst,
-                             std::int64_t elem_offset) const;
+  void load_grad_shard(const Parameter* p, std::span<half> dst,
+                       std::int64_t elem_offset = 0) const;
 
   // --- fp32 optimizer state ----------------------------------------------
 
-  TierBuffer& master(const Parameter* p);
-  TierBuffer& momentum(const Parameter* p);
-  TierBuffer& variance(const Parameter* p);
+  /// The flat regions: opt_elems() fp32 elements each, parameter p's shard
+  /// (opt_spec(p).shard_elems elements) at element opt_offset(p).
+  TierBuffer& master_region() { return checked_region(master_.get()); }
+  TierBuffer& momentum_region() { return checked_region(momentum_.get()); }
+  TierBuffer& variance_region() { return checked_region(variance_.get()); }
+  std::int64_t opt_offset(const Parameter* p) const {
+    return entry(p).opt_offset;
+  }
+  std::int64_t opt_elems() const noexcept { return opt_elems_; }
+
+  /// One parameter's shard of each region.
+  TierSlice master(const Parameter* p) { return slice(master_.get(), p); }
+  TierSlice momentum(const Parameter* p) { return slice(momentum_.get(), p); }
+  TierSlice variance(const Parameter* p) { return slice(variance_.get(), p); }
 
   Tier param_tier() const noexcept { return config_.param_placement; }
   Tier optimizer_tier() const noexcept { return config_.optimizer_placement; }
@@ -93,11 +105,9 @@ class ModelStateStore {
   struct Entry {
     ShardSpec param_spec;                     // world = n (stage 3)
     ShardSpec opt_spec;                       // world = n (stages 1-3) or 1
+    std::int64_t opt_offset = 0;              // element offset in the regions
     std::unique_ptr<TierBuffer> param_fp16;   // stage 3 only
     std::unique_ptr<TierBuffer> grad_fp16;
-    std::unique_ptr<TierBuffer> master;
-    std::unique_ptr<TierBuffer> momentum;
-    std::unique_ptr<TierBuffer> variance;
   };
 
   const Entry& entry(const Parameter* p) const;
@@ -110,6 +120,9 @@ class ModelStateStore {
   const TierBuffer& grad_buffer(const Parameter* p) const;
   const TierBuffer& param_full_buffer(const Parameter* p,
                                       std::size_t elems) const;
+  /// The optimizer regions are absent in an inference_only store.
+  TierBuffer& checked_region(TierBuffer* region) const;
+  TierSlice slice(TierBuffer* region, const Parameter* p) const;
 
   RankResources& res_;
   EngineConfig config_;
@@ -117,6 +130,8 @@ class ModelStateStore {
   int rank_;
   int world_;
   std::vector<Entry> entries_;  // indexed by Parameter::id
+  std::int64_t opt_elems_ = 0;
+  std::unique_ptr<TierBuffer> master_, momentum_, variance_;
 };
 
 }  // namespace zi

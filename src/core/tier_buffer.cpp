@@ -7,6 +7,24 @@
 
 namespace zi {
 
+namespace {
+
+/// Overflow-safe range validation: throws BoundsError unless
+/// [offset, offset+size) fits in `limit` bytes — `offset + size` is never
+/// formed, so std::uint64_t wraparound cannot corrupt the arena.
+void check_range(const char* op, Tier tier, std::uint64_t offset,
+                 std::uint64_t size, std::uint64_t limit) {
+  if (offset > limit || size > limit - offset) {
+    std::ostringstream os;
+    os << "TierBuffer: " << op << " of " << size << " bytes at offset "
+       << offset << " exceeds " << tier_name(tier) << " buffer of " << limit
+       << " bytes";
+    throw BoundsError(os.str());
+  }
+}
+
+}  // namespace
+
 TierBuffer::TierBuffer(RankResources& res, Tier tier, std::uint64_t bytes)
     : res_(&res), tier_(tier), requested_tier_(tier), bytes_(bytes) {
   ZI_CHECK(bytes > 0);
@@ -72,41 +90,18 @@ const std::byte* TierBuffer::data() const noexcept {
   return const_cast<TierBuffer*>(this)->data();
 }
 
-void TierBuffer::check_slice(const char* op, std::uint64_t offset,
-                             std::uint64_t size) const {
-  if (offset > bytes_ || size > bytes_ - offset) {
-    std::ostringstream os;
-    os << "TierBuffer: " << op << " of " << size << " bytes at offset "
-       << offset << " exceeds " << tier_name(tier_) << " buffer of "
-       << bytes_ << " bytes";
-    throw BoundsError(os.str());
-  }
-}
-
 void TierBuffer::store(std::span<const std::byte> src, std::uint64_t offset) {
-  check_slice("store", offset, src.size());
-  DataMover& mover = res_->mover();
-  if (tier_ == Tier::kNvme) {
-    mover.spill_nvme_sync(extent_, src, offset);
-  } else {
-    mover.spill_copy(spill_route(tier_), data() + offset, src);
-  }
+  store_async(src, offset, TransferClass::kLatency).wait();
 }
 
 void TierBuffer::load(std::span<std::byte> dst, std::uint64_t offset) const {
-  check_slice("load", offset, dst.size());
-  DataMover& mover = res_->mover();
-  if (tier_ == Tier::kNvme) {
-    mover.fetch_nvme_sync(extent_, dst, offset);
-  } else {
-    mover.fetch_copy(fetch_route(tier_), dst, data() + offset);
-  }
+  load_async(dst, offset, TransferClass::kLatency).wait();
 }
 
 TransferHandle TierBuffer::store_async(std::span<const std::byte> src,
                                        std::uint64_t offset,
                                        TransferClass cls) {
-  check_slice("store", offset, src.size());
+  check_range("store", tier_, offset, src.size(), bytes_);
   if (tier_ == Tier::kNvme) {
     return res_->mover().spill_nvme(extent_, src, offset, cls);
   }
@@ -117,12 +112,28 @@ TransferHandle TierBuffer::store_async(std::span<const std::byte> src,
 TransferHandle TierBuffer::load_async(std::span<std::byte> dst,
                                       std::uint64_t offset,
                                       TransferClass cls) const {
-  check_slice("load", offset, dst.size());
+  check_range("load", tier_, offset, dst.size(), bytes_);
   if (tier_ == Tier::kNvme) {
     return res_->mover().fetch_nvme(extent_, dst, offset, cls);
   }
   res_->mover().fetch_copy(fetch_route(tier_), dst, data() + offset);
   return TransferHandle();
+}
+
+TierSlice::TierSlice(TierBuffer& buf, std::uint64_t offset,
+                     std::uint64_t bytes)
+    : buf_(&buf), offset_(offset), bytes_(bytes) {
+  check_range("slice", buf.tier(), offset, bytes, buf.size());
+}
+
+void TierSlice::store(std::span<const std::byte> src, std::uint64_t offset) {
+  check_range("store", buf_->tier(), offset, src.size(), bytes_);
+  buf_->store(src, offset_ + offset);
+}
+
+void TierSlice::load(std::span<std::byte> dst, std::uint64_t offset) const {
+  check_range("load", buf_->tier(), offset, dst.size(), bytes_);
+  buf_->load(dst, offset_ + offset);
 }
 
 }  // namespace zi

@@ -11,6 +11,10 @@
 // All byte movement — including the GPU/CPU memcpy paths — routes through
 // the rank's DataMover, so every transfer is bounds-checked (typed
 // BoundsError, overflow-safe), traced, and counted per route.
+//
+// A TierSlice addresses a fixed byte range of a TierBuffer with
+// slice-relative offsets: one parameter's shard of a flat optimizer-state
+// region (core/state_store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +57,8 @@ class TierBuffer {
   std::byte* data() noexcept;
   const std::byte* data() const noexcept;
 
-  /// Copy `src` into the buffer at byte `offset` (synchronous; the eager
-  /// path — no completion handle is materialized).
+  /// Copy `src` into the buffer at byte `offset` (synchronous: the async
+  /// variant at latency class, waited).
   void store(std::span<const std::byte> src, std::uint64_t offset = 0);
   /// Copy dst.size() bytes out of the buffer starting at `offset`.
   void load(std::span<std::byte> dst, std::uint64_t offset = 0) const;
@@ -71,12 +75,6 @@ class TierBuffer {
                             TransferClass cls = TransferClass::kLatency) const;
 
  private:
-  /// Overflow-safe slice validation: throws BoundsError unless
-  /// [offset, offset+size) fits in the buffer — `offset + size` is never
-  /// formed, so std::uint64_t wraparound cannot corrupt the arena.
-  void check_slice(const char* op, std::uint64_t offset,
-                   std::uint64_t size) const;
-
   RankResources* res_;
   Tier tier_;
   Tier requested_tier_;
@@ -84,6 +82,22 @@ class TierBuffer {
   ArenaBlock gpu_block_;          // kGpu
   std::vector<std::byte> cpu_;    // kCpu
   Extent extent_;                 // kNvme
+};
+
+class TierSlice {
+ public:
+  /// The bytes [offset, offset + bytes) of `buf`, which must outlive the
+  /// slice. Throws BoundsError if the range does not fit.
+  TierSlice(TierBuffer& buf, std::uint64_t offset, std::uint64_t bytes);
+
+  /// As TierBuffer::store/load, with `offset` relative to the slice.
+  void store(std::span<const std::byte> src, std::uint64_t offset = 0);
+  void load(std::span<std::byte> dst, std::uint64_t offset = 0) const;
+
+ private:
+  TierBuffer* buf_;
+  std::uint64_t offset_;
+  std::uint64_t bytes_;
 };
 
 }  // namespace zi

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "common/error.hpp"
@@ -57,6 +58,19 @@ void TransferHandle::wait() {
     throw;
   }
   mover->note_seconds(transfer_.route, ns_between(t0, Clock::now()));
+}
+
+void wait_all(std::vector<TransferHandle>& handles) {
+  std::exception_ptr first;
+  for (TransferHandle& h : handles) {
+    try {
+      h.wait();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  handles.clear();
+  if (first) std::rethrow_exception(first);
 }
 
 std::uint64_t DataMover::Stats::total_bytes() const {

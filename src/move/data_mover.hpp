@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "aio/nvme_store.hpp"
 #include "move/sched.hpp"
@@ -99,6 +100,11 @@ class [[nodiscard]] TransferHandle {
   Transfer transfer_{};
   TransferScheduler::Ticket ticket_;  ///< nullptr = trivially complete
 };
+
+/// Wait for every handle in `handles`, even after one throws (their
+/// buffers may be reused or freed next), then clear the list and rethrow
+/// the first error.
+void wait_all(std::vector<TransferHandle>& handles);
 
 class DataMover {
  public:

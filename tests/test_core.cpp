@@ -12,6 +12,7 @@
 #include "core/tier_buffer.hpp"
 #include "core/tiling.hpp"
 #include "core/zero_config.hpp"
+#include "model/gpt.hpp"
 #include "model/local_store.hpp"
 
 namespace zi {
@@ -208,6 +209,50 @@ TEST_F(CoreTest, StateStoreMasterInitializedFromRoundedFp16) {
   }
 }
 
+// Each rank's stored fp16 parameter shard and fp32 master equal the
+// per-element init function, in the uniform and the weighted layout (the
+// parameter shard reuses the optimizer shard's draw when the specs agree).
+TEST_F(CoreTest, StateStoreInitMatchesPerElementInitValue) {
+  GptConfig mc;
+  mc.vocab = 32;
+  mc.seq = 8;
+  mc.hidden = 16;
+  mc.layers = 2;
+  mc.heads = 2;
+  Gpt model(mc);
+  const std::vector<Parameter*> params = model.all_parameters();
+  constexpr int kWorld = 2;
+  for (const RankWeights& weights : {RankWeights{}, RankWeights{1.0, 3.0}}) {
+    EngineConfig cfg = preset_zero_infinity_nvme();
+    cfg.nvme_dir = dir_.string();
+    cfg.rank_weights = weights;
+    for (int rank = 0; rank < kWorld; ++rank) {
+      RankResources res(rank, *aio_, 8 * kMiB, 16 * kMiB, dir_, 64 * 1024, 2);
+      ModelStateStore store(res, cfg, params, rank, kWorld);
+      for (Parameter* p : params) {
+        const ShardSpec& spec = store.param_spec(p);
+        ASSERT_EQ(store.opt_spec(p).shard_elems, spec.shard_elems);
+        const auto n = static_cast<std::size_t>(spec.shard_elems);
+        std::vector<half> shard(n);
+        store.load_param_shard(p, shard);
+        std::vector<float> master(n);
+        store.master(p).load(
+            {reinterpret_cast<std::byte*>(master.data()), n * sizeof(float)});
+        for (std::int64_t i = 0; i < spec.shard_elems; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          const half want = i < spec.valid_elems(rank)
+                                ? half(p->init_value(spec.begin(rank) + i))
+                                : half(0.0f);
+          ASSERT_EQ(shard[k].bits(), want.bits())
+              << p->name() << " rank " << rank << " i " << i;
+          ASSERT_EQ(master[k], want.to_float())
+              << p->name() << " rank " << rank << " i " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(CoreTest, StateStoreGradShardRoundtripWithChunks) {
   Linear lin("lin", 16, 16);
   lin.finalize();
@@ -222,7 +267,7 @@ TEST_F(CoreTest, StateStoreGradShardRoundtripWithChunks) {
   for (std::size_t i = 0; i < n; ++i) grad[i] = half(static_cast<float>(i) * 0.25f);
   store.store_grad_shard(w, grad);
   std::vector<half> chunk(8);
-  store.load_grad_shard_chunk(w, chunk, 16);
+  store.load_grad_shard(w, chunk, 16);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(chunk[static_cast<std::size_t>(i)].to_float(),
               static_cast<float>(16 + i) * 0.25f);

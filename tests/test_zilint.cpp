@@ -174,6 +174,23 @@ TEST(ZilintRules, IsaConfinement) {
   EXPECT_EQ(findings.size(), 5u) << "no other rule may fire in this tree";
 }
 
+TEST(ZilintRules, AffinityConfinement) {
+  const auto findings = run_fixture("affinity_confinement");
+  EXPECT_EQ(count_rule(findings, "affinity-confinement"), 2)
+      << "bad.cpp seeds two";
+  EXPECT_TRUE(has_finding(findings, "src/bad.cpp", "affinity-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/common/thread_pool.cpp",
+                           "affinity-confinement"))
+      << "the thread pool alone places threads on CPUs";
+  EXPECT_FALSE(has_finding(findings, "src/clean.cpp", "affinity-confinement"));
+  EXPECT_FALSE(
+      has_finding(findings, "src/suppressed.cpp", "affinity-confinement"));
+  EXPECT_FALSE(
+      has_finding(findings, "tests/test_pinning.cpp", "affinity-confinement"))
+      << "tests arrange the masks a pool inherits";
+  EXPECT_EQ(findings.size(), 2u) << "no other rule may fire in this tree";
+}
+
 // ---------------------------------------------------------------------------
 // Output formats
 

@@ -72,7 +72,7 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "raw-primitive",     "mutex-annotation", "fault-site-sync",
       "handle-discipline", "doc-drift",        "isa-confinement",
-      "zilint-allow",
+      "affinity-confinement", "zilint-allow",
   };
   return kNames;
 }
@@ -98,6 +98,9 @@ const std::map<std::string, std::string>& rule_descriptions() {
        "ISA-specific code (target attributes, #pragma GCC target, SIMD "
        "intrinsics or their headers) outside the kernel files that own a "
        "vector tier, or an -m<isa> flag in a CMakeLists.txt"},
+      {"affinity-confinement",
+       "thread-affinity call under src/ outside src/common/thread_pool.cpp, "
+       "the one place that decides where threads run"},
       {"zilint-allow", "zilint:allow naming an unknown rule"},
   };
   return kDescriptions;
@@ -954,6 +957,33 @@ void rule_isa_confinement(const Project& p, std::vector<Finding>& findings) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: affinity-confinement
+
+// ThreadPool places its workers on the CPUs they inherit
+// (common/thread_pool.hpp). A second caller pinning threads under src/
+// would silently undo that placement, so only the pool may set or read a
+// CPU mask; benches and tests, which arrange the masks the pool inherits,
+// are outside the rule.
+void rule_affinity_confinement(const Project& p,
+                               std::vector<Finding>& findings) {
+  static const std::regex kAffinity(
+      R"(\b(pthread_(attr_)?(set|get)affinity_np|sched_(set|get)affinity)\b)");
+  for (const auto& f : p.src) {
+    if (f.path == "src/common/thread_pool.cpp") continue;
+    for (std::size_t i = 0; i < f.code.size(); ++i) {
+      std::smatch m;
+      if (std::regex_search(f.code[i], m, kAffinity)) {
+        findings.push_back(
+            {f.path, static_cast<int>(i + 1), "affinity-confinement",
+             m[1].str() +
+                 " outside src/common/thread_pool.cpp, which alone places "
+                 "threads on CPUs"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -977,6 +1007,7 @@ std::vector<Finding> run_project(const Options& options) {
   rule_handle_discipline(p, findings);
   rule_doc_drift(p, findings);
   rule_isa_confinement(p, findings);
+  rule_affinity_confinement(p, findings);
 
   // zilint:allow with an unknown rule name is itself a finding; a typo'd
   // suppression must never silently stop suppressing.

@@ -36,6 +36,10 @@
 //                      ops.cpp, adam.cpp), and -m<isa> flags in any
 //                      CMakeLists.txt: the build stays at the x86-64
 //                      baseline and one CPU-feature check picks the tier.
+//   affinity-confinement  pthread_{set,get}affinity_np, its attr form and
+//                      sched_{set,get}affinity anywhere under src/ but
+//                      src/common/thread_pool.cpp: the pool alone decides
+//                      which CPU each of its workers runs on.
 //
 // Suppression: `// zilint:allow(rule)` or `// zilint:allow(rule1,rule2)`,
 // optionally followed by `: reason`. It applies to findings on its own line,
