@@ -9,7 +9,10 @@
 // data copying, and memory pinning."
 //
 // This engine reproduces that architecture over ordinary files:
-//   * a worker thread pool executes I/O sub-requests concurrently;
+//   * a worker thread pool executes I/O sub-requests concurrently, each
+//     worker on its own CPU of the mask the engine is built under
+//     (common/thread_pool.hpp) — workers left on a shared mask were stacked
+//     on one CPU and ran their requests one at a time;
 //   * large requests are split into block-sized sub-requests so a single
 //     user-thread submission still saturates all workers ("aggressive
 //     parallelization ... from a single user thread");

@@ -1,10 +1,11 @@
 // DoubleBufferPipeline<Buf> — the reusable read/compute/write-back overlap
 // primitive (Sec. 5.2.2 / 6.2).
 //
-// Generalizes the optimizer driver's hand-rolled chunk loop: two buffers
-// ping-pong so that while item c computes, item c+1's reads and item c-1's
-// write-backs are in flight. The pipeline owns the two invariants the
-// hand-rolled versions kept re-deriving:
+// Two buffers ping-pong so that while item c computes, item c+1's reads and
+// item c-1's write-backs are in flight. The NVMe optimizer runs one
+// pipeline per step over its rank's whole flat state, each item a chunk
+// that may span several parameters. The pipeline owns the two invariants
+// every hand-rolled chunk loop had to re-derive:
 //
 //   * reuse safety — the buffer about to receive item c+1 last carried item
 //     c-1; its write-backs are drained (wait_store) before issue_load may
@@ -13,6 +14,9 @@
 //     under the async workers, so every exit path (normal or exceptional)
 //     waits out all loads and stores first; errors during exceptional
 //     quiescence are swallowed (the original failure is already unwinding).
+//     A stage that waits several handles must wait every one of them even
+//     when one throws (move/data_mover.hpp's wait_all), or the rethrow
+//     would leave the rest in flight.
 //
 // With overlap disabled the same loop degenerates to sequential
 // load → compute → store (the ablation baseline), keeping trajectories
