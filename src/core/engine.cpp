@@ -203,7 +203,7 @@ ZeroEngine::StepStats ZeroEngine::train_step(
   // owning rank.
   const bool sharded = coordinator_ != nullptr && !store_.broadcast_mode();
   driver_.step(
-      opt_step_, cur_scale, clip, /*write_param_shards=*/sharded,
+      opt_step_, cur_scale, clip,
       sharded ? OptimizerDriver::UpdatedFp16Fn()
               : [&](Parameter* p, std::span<const half> shard) {
                   const std::vector<half> full = unshard(
@@ -476,8 +476,7 @@ std::vector<float> ZeroEngine::gather_full_f32(Parameter* p,
                                                const TierSlice& shard_buf) {
   const ShardSpec& spec = store_.opt_spec(p);
   std::vector<float> shard(static_cast<std::size_t>(spec.shard_elems));
-  shard_buf.load({reinterpret_cast<std::byte*>(shard.data()),
-                  shard.size() * sizeof(float)});
+  shard_buf.load(std::as_writable_bytes(std::span(shard)));
   return unshard(spec, std::move(shard));
 }
 
@@ -599,8 +598,7 @@ void ZeroEngine::load_checkpoint(const std::string& path) {
         f32[static_cast<std::size_t>(i)] =
             full[static_cast<std::size_t>(ospec.begin(orank) + i)];
       }
-      buf.store({reinterpret_cast<const std::byte*>(f32.data()),
-                 f32.size() * sizeof(float)});
+      buf.store(std::as_bytes(std::span(f32)));
     };
     store_slice(master, store_.master(p));
     store_slice(momentum, store_.momentum(p));

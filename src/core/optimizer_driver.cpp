@@ -11,15 +11,6 @@
 namespace zi {
 
 namespace {
-std::span<std::byte> bytes_of(std::span<float> s) {
-  return {reinterpret_cast<std::byte*>(s.data()), s.size_bytes()};
-}
-std::span<const std::byte> cbytes_of(std::span<const float> s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size_bytes()};
-}
-std::uint64_t byte_offset(std::int64_t elem) {
-  return static_cast<std::uint64_t>(elem) * sizeof(float);
-}
 // Gradient elements widened per block in local_grad_sqnorm.
 constexpr std::size_t kSqnormBlock = 1024;
 }  // namespace
@@ -45,10 +36,9 @@ OptimizerDriver::OptimizerDriver(ModelStateStore& store,
 
 bool OptimizerDriver::local_overflow() const {
   std::vector<half> shard;
-  for (Parameter* p : store_.params()) {
-    const ShardSpec& spec = store_.opt_spec(p);
-    shard.resize(static_cast<std::size_t>(spec.shard_elems));
-    store_.load_grad_shard(p, shard);
+  for (const Segment& s : segments_) {
+    shard.resize(static_cast<std::size_t>(s.elems));
+    store_.load_grad_shard(s.p, shard);
     if (!all_finite(shard)) return true;
   }
   return false;
@@ -59,10 +49,9 @@ double OptimizerDriver::local_grad_sqnorm(float grad_scale) const {
   double acc = 0.0;
   std::vector<half> shard;
   std::vector<float> widened(kSqnormBlock);
-  for (Parameter* p : store_.params()) {
-    const ShardSpec& spec = store_.opt_spec(p);
-    shard.resize(static_cast<std::size_t>(spec.shard_elems));
-    store_.load_grad_shard(p, shard);
+  for (const Segment& s : segments_) {
+    shard.resize(static_cast<std::size_t>(s.elems));
+    store_.load_grad_shard(s.p, shard);
     // Padding elements are exact zeros and contribute nothing. Widened a
     // block at a time; the double sum keeps element order.
     for (std::size_t lo = 0; lo < shard.size(); lo += kSqnormBlock) {
@@ -79,22 +68,20 @@ double OptimizerDriver::local_grad_sqnorm(float grad_scale) const {
 }
 
 void OptimizerDriver::step(std::int64_t step_num, float grad_scale,
-                           float clip_coef, bool write_param_shards,
-                           const UpdatedFp16Fn& on_updated) {
+                           float clip_coef, const UpdatedFp16Fn& on_updated) {
   ++stats_.steps;
   if (segments_.empty()) return;
   if (store_.optimizer_tier() == Tier::kNvme) {
     ZI_CHECK_MSG(on_updated == nullptr,
                  "NVMe optimizer state requires partitioned parameters");
-    step_chunked_nvme(step_num, grad_scale, clip_coef, write_param_shards);
+    step_chunked_nvme(step_num, grad_scale, clip_coef);
   } else {
-    step_direct(step_num, grad_scale, clip_coef, write_param_shards,
-                on_updated);
+    step_direct(step_num, grad_scale, clip_coef, on_updated);
   }
 }
 
 void OptimizerDriver::step_direct(std::int64_t step_num, float grad_scale,
-                                  float clip_coef, bool write_param_shards,
+                                  float clip_coef,
                                   const UpdatedFp16Fn& on_updated) {
   auto* master = reinterpret_cast<float*>(store_.master_region().data());
   auto* momentum = reinterpret_cast<float*>(store_.momentum_region().data());
@@ -110,17 +97,16 @@ void OptimizerDriver::step_direct(std::int64_t step_num, float grad_scale,
     fused_adam_step(config_.adam, step_num, {master + at, n},
                     {momentum + at, n}, {variance + at, n}, grad16_,
                     updated16_, grad_scale, clip_coef);
-    ++stats_.direct_params;
-    if (write_param_shards) {
+    if (on_updated) {
+      on_updated(s.p, updated16_);
+    } else {
       store_.store_param_shard_async(s.p, updated16_).wait();
     }
-    if (on_updated) on_updated(s.p, updated16_);
   }
 }
 
 void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
-                                        float grad_scale, float clip_coef,
-                                        bool write_param_shards) {
+                                        float grad_scale, float clip_coef) {
   const std::int64_t total = store_.opt_elems();
   const std::int64_t chunk = chunk_elems_;
   const std::array<TierBuffer*, 3> regions{&store_.master_region(),
@@ -129,6 +115,12 @@ void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
   // Chunk c covers region elements [c * chunk, c * chunk + n).
   auto elems_of = [&](std::int64_t c) {
     return static_cast<std::size_t>(std::min(chunk, total - c * chunk));
+  };
+  auto state_of = [](ChunkBuf& b, std::size_t k, std::size_t n) {
+    return std::span<float>(b.state[k].data(), n);
+  };
+  auto byte_offset = [&](std::int64_t c) {
+    return static_cast<std::uint64_t>(c * chunk) * sizeof(float);
   };
   // Calls fn(p, first element in p's shard, first element in the chunk,
   // elements) for each parameter segment of chunk c, in region order.
@@ -158,7 +150,7 @@ void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
         // class, so they overtake the previous chunk's bulk write-backs.
         for (std::size_t k = 0; k < regions.size(); ++k) {
           b.loads.push_back(regions[k]->load_async(
-              bytes_of({b.state[k].data(), n}), byte_offset(c * chunk),
+              std::as_writable_bytes(state_of(b, k, n)), byte_offset(c),
               TransferClass::kLatency));
         }
       },
@@ -172,8 +164,8 @@ void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
                                 std::size_t at, std::size_t len) {
           store_.load_grad_shard(p, {b.grad16.data() + at, len}, from);
         });
-        fused_adam_step(config_.adam, step_num, {b.state[0].data(), n},
-                        {b.state[1].data(), n}, {b.state[2].data(), n},
+        fused_adam_step(config_.adam, step_num, state_of(b, 0, n),
+                        state_of(b, 1, n), state_of(b, 2, n),
                         {b.grad16.data(), n}, {b.updated16.data(), n},
                         grad_scale, clip_coef);
         ++stats_.chunks_pipelined;
@@ -182,16 +174,14 @@ void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
         // bound guarantees they still complete under fetch pressure).
         for (std::size_t k = 0; k < regions.size(); ++k) {
           b.stores.push_back(regions[k]->store_async(
-              cbytes_of({b.state[k].data(), n}), byte_offset(c * chunk),
+              std::as_bytes(state_of(b, k, n)), byte_offset(c),
               TransferClass::kBulk));
         }
-        if (write_param_shards) {
-          for_each_segment(c, [&](Parameter* p, std::int64_t from,
-                                  std::size_t at, std::size_t len) {
-            b.stores.push_back(store_.store_param_shard_async(
-                p, {b.updated16.data() + at, len}, from));
-          });
-        }
+        for_each_segment(c, [&](Parameter* p, std::int64_t from,
+                                std::size_t at, std::size_t len) {
+          b.stores.push_back(store_.store_param_shard_async(
+              p, {b.updated16.data() + at, len}, from));
+        });
       },
       /*wait_store=*/[](ChunkBuf& b) { wait_all(b.stores); });
 }

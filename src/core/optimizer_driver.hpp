@@ -33,11 +33,8 @@ class OptimizerDriver {
   struct Stats {
     std::uint64_t steps = 0;
     std::uint64_t chunks_pipelined = 0;  ///< NVMe chunks processed
-    std::uint64_t direct_params = 0;     ///< shards updated in place
   };
 
-  /// Invoked with each parameter's updated fp16 shard (stages 0-2 use this
-  /// to rebuild the replicated parameters).
   using UpdatedFp16Fn =
       std::function<void(Parameter*, std::span<const half>)>;
 
@@ -50,11 +47,11 @@ class OptimizerDriver {
   /// Sum over this rank's shards of (grad / grad_scale)^2.
   double local_grad_sqnorm(float grad_scale) const;
 
-  /// Run Adam over every shard. `write_param_shards` stores updated fp16
-  /// back into the partitioned parameter store (stage 3); `on_updated` (if
-  /// set) receives each updated fp16 shard (stages 0-2).
+  /// Run Adam over every shard. Each updated fp16 shard goes to
+  /// `on_updated` when set (to rebuild whole parameters), else back into
+  /// the partitioned parameter store (stage 3).
   void step(std::int64_t step_num, float grad_scale, float clip_coef,
-            bool write_param_shards, const UpdatedFp16Fn& on_updated);
+            const UpdatedFp16Fn& on_updated);
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -74,9 +71,9 @@ class OptimizerDriver {
   };
 
   void step_direct(std::int64_t step_num, float grad_scale, float clip_coef,
-                   bool write_param_shards, const UpdatedFp16Fn& on_updated);
+                   const UpdatedFp16Fn& on_updated);
   void step_chunked_nvme(std::int64_t step_num, float grad_scale,
-                         float clip_coef, bool write_param_shards);
+                         float clip_coef);
 
   ModelStateStore& store_;
   const EngineConfig& config_;  // reference: LR schedule updates propagate

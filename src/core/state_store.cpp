@@ -10,13 +10,6 @@ namespace zi {
 
 namespace {
 
-std::span<const std::byte> as_bytes_span(std::span<const half> s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size_bytes()};
-}
-std::span<std::byte> as_bytes_span(std::span<half> s) {
-  return {reinterpret_cast<std::byte*>(s.data()), s.size_bytes()};
-}
-
 // Gradient elements widened per block in accumulate_grad_shard.
 constexpr std::size_t kAccumulateBlock = 1024;
 
@@ -53,10 +46,10 @@ ModelStateStore::ModelStateStore(RankResources& res,
   if (!config_.inference_only && opt_elems_ > 0) {
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(opt_elems_) * sizeof(float);
-    const Tier opt_tier = config_.optimizer_placement;
-    master_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
-    momentum_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
-    variance_ = std::make_unique<TierBuffer>(res_, opt_tier, bytes);
+    for (auto* region : {&master_, &momentum_, &variance_}) {
+      *region = std::make_unique<TierBuffer>(
+          res_, config_.optimizer_placement, bytes);
+    }
   }
 
   std::vector<half> h16_scratch;
@@ -74,9 +67,7 @@ ModelStateStore::ModelStateStore(RankResources& res,
       init_shard_fp16(*p, e.opt_spec, opt_rank, h16_scratch);
       f32_scratch.resize(shard_n);
       halves_to_floats(h16_scratch, f32_scratch);
-      const std::span<const std::byte> f32_bytes{
-          reinterpret_cast<const std::byte*>(f32_scratch.data()),
-          shard_n * sizeof(float)};
+      const auto f32_bytes = std::as_bytes(std::span(f32_scratch));
       master(p).store(f32_bytes);
       std::fill(f32_scratch.begin(), f32_scratch.end(), 0.0f);
       momentum(p).store(f32_bytes);
@@ -99,7 +90,7 @@ ModelStateStore::ModelStateStore(RankResources& res,
         }
         e.param_fp16 = std::make_unique<TierBuffer>(
             res_, config_.param_placement, pshard_n * sizeof(half));
-        e.param_fp16->store(as_bytes_span(std::span<const half>(h16_scratch)));
+        e.param_fp16->store(std::as_bytes(std::span(h16_scratch)));
       } else if (param_owner(p) == rank_) {
         // Broadcast baseline: the owner persists the whole parameter.
         const auto n = static_cast<std::size_t>(p->numel());
@@ -108,7 +99,7 @@ ModelStateStore::ModelStateStore(RankResources& res,
         init_shard_fp16(*p, whole, 0, h16_scratch);
         e.param_fp16 = std::make_unique<TierBuffer>(
             res_, config_.param_placement, n * sizeof(half));
-        e.param_fp16->store(as_bytes_span(std::span<const half>(h16_scratch)));
+        e.param_fp16->store(std::as_bytes(std::span(h16_scratch)));
       }
     }
   }
@@ -120,11 +111,6 @@ const ModelStateStore::Entry& ModelStateStore::entry(const Parameter* p) const {
   return entries_[static_cast<std::size_t>(p->id())];
 }
 
-ModelStateStore::Entry& ModelStateStore::entry(const Parameter* p) {
-  return const_cast<Entry&>(
-      static_cast<const ModelStateStore*>(this)->entry(p));
-}
-
 const ShardSpec& ModelStateStore::param_spec(const Parameter* p) const {
   return entry(p).param_spec;
 }
@@ -133,8 +119,8 @@ int ModelStateStore::param_owner(const Parameter* p) const {
   return p->id() % world_;
 }
 
-const TierBuffer& ModelStateStore::param_full_buffer(const Parameter* p,
-                                                     std::size_t elems) const {
+TierBuffer& ModelStateStore::param_full_buffer(const Parameter* p,
+                                               std::size_t elems) const {
   const Entry& e = entry(p);
   ZI_CHECK_MSG(e.param_fp16 != nullptr && broadcast_mode(),
                "no whole-parameter copy of " << p->name() << " on rank "
@@ -145,29 +131,25 @@ const TierBuffer& ModelStateStore::param_full_buffer(const Parameter* p,
 
 void ModelStateStore::load_param_full(const Parameter* p,
                                       std::span<half> dst) const {
-  // Eager path: straight through the DataMover's synchronous helper — no
-  // async handle is built just to be waited on.
-  param_full_buffer(p, dst.size()).load(as_bytes_span(dst));
+  param_full_buffer(p, dst.size()).load(std::as_writable_bytes(dst));
 }
 
 TransferHandle ModelStateStore::load_param_full_async(
     const Parameter* p, std::span<half> dst, TransferClass cls) const {
   return param_full_buffer(p, dst.size())
-      .load_async(as_bytes_span(dst), 0, cls);
+      .load_async(std::as_writable_bytes(dst), 0, cls);
 }
 
 void ModelStateStore::store_param_full(const Parameter* p,
                                        std::span<const half> src) {
-  const_cast<TierBuffer&>(param_full_buffer(p, src.size()))
-      .store(as_bytes_span(src));
+  param_full_buffer(p, src.size()).store(std::as_bytes(src));
 }
 
 const ShardSpec& ModelStateStore::opt_spec(const Parameter* p) const {
   return entry(p).opt_spec;
 }
 
-const TierBuffer& ModelStateStore::param_shard_buffer(
-    const Parameter* p) const {
+TierBuffer& ModelStateStore::param_shard_buffer(const Parameter* p) const {
   const Entry& e = entry(p);
   ZI_CHECK_MSG(e.param_fp16 != nullptr,
                "no parameter shard for " << p->name()
@@ -177,22 +159,22 @@ const TierBuffer& ModelStateStore::param_shard_buffer(
 
 TransferHandle ModelStateStore::load_param_shard_async(
     const Parameter* p, std::span<half> dst, TransferClass cls) const {
-  return param_shard_buffer(p).load_async(as_bytes_span(dst), 0, cls);
+  return param_shard_buffer(p).load_async(std::as_writable_bytes(dst), 0, cls);
 }
 
 void ModelStateStore::load_param_shard(const Parameter* p,
                                        std::span<half> dst) const {
-  param_shard_buffer(p).load(as_bytes_span(dst));
+  param_shard_buffer(p).load(std::as_writable_bytes(dst));
 }
 
 TransferHandle ModelStateStore::store_param_shard_async(
     const Parameter* p, std::span<const half> src, std::int64_t elem_offset) {
-  return const_cast<TierBuffer&>(param_shard_buffer(p)).store_async(
-      as_bytes_span(src),
+  return param_shard_buffer(p).store_async(
+      std::as_bytes(src),
       static_cast<std::uint64_t>(elem_offset) * sizeof(half));
 }
 
-const TierBuffer& ModelStateStore::grad_buffer(const Parameter* p) const {
+TierBuffer& ModelStateStore::grad_buffer(const Parameter* p) const {
   const Entry& e = entry(p);
   ZI_CHECK_MSG(e.grad_fp16 != nullptr,
                "no gradient shard for " << p->name()
@@ -202,14 +184,14 @@ const TierBuffer& ModelStateStore::grad_buffer(const Parameter* p) const {
 
 void ModelStateStore::store_grad_shard(const Parameter* p,
                                        std::span<const half> src) {
-  const_cast<TierBuffer&>(grad_buffer(p)).store(as_bytes_span(src));
+  grad_buffer(p).store(std::as_bytes(src));
 }
 
 void ModelStateStore::accumulate_grad_shard(const Parameter* p,
                                             std::span<const half> src) {
-  TierBuffer& grad = const_cast<TierBuffer&>(grad_buffer(p));
+  TierBuffer& grad = grad_buffer(p);
   std::vector<half> current(src.size());
-  grad.load(as_bytes_span(std::span<half>(current)));
+  grad.load(std::as_writable_bytes(std::span(current)));
   // current = half(float(current) + float(src)), widened a block at a time.
   std::vector<float> sum(kAccumulateBlock), term(kAccumulateBlock);
   for (std::size_t lo = 0; lo < src.size(); lo += kAccumulateBlock) {
@@ -220,13 +202,13 @@ void ModelStateStore::accumulate_grad_shard(const Parameter* p,
     for (std::size_t i = 0; i < n; ++i) sum[i] += term[i];
     floats_to_halves({sum.data(), n}, cur);
   }
-  grad.store(as_bytes_span(std::span<const half>(current)));
+  grad.store(std::as_bytes(std::span(current)));
 }
 
 void ModelStateStore::load_grad_shard(const Parameter* p, std::span<half> dst,
                                       std::int64_t elem_offset) const {
   grad_buffer(p).load(
-      as_bytes_span(dst),
+      std::as_writable_bytes(dst),
       static_cast<std::uint64_t>(elem_offset) * sizeof(half));
 }
 

@@ -51,8 +51,7 @@ class ModelStateStore {
   TransferHandle load_param_shard_async(
       const Parameter* p, std::span<half> dst,
       TransferClass cls = TransferClass::kLatency) const;
-  /// Synchronous load through the DataMover's eager path (no completion
-  /// handle is materialized — the hot path for non-prefetched gathers).
+  /// Synchronous load (the hot path for non-prefetched gathers).
   void load_param_shard(const Parameter* p, std::span<half> dst) const;
   /// Overwrite the shard (post-optimizer write-back). Offset in elements.
   TransferHandle store_param_shard_async(const Parameter* p,
@@ -111,15 +110,13 @@ class ModelStateStore {
   };
 
   const Entry& entry(const Parameter* p) const;
-  Entry& entry(const Parameter* p);
   /// Validated access to the fp16 parameter buffer (stage 3 slice / owner
   /// whole copy) — shared by the sync and async load paths.
-  const TierBuffer& param_shard_buffer(const Parameter* p) const;
+  TierBuffer& param_shard_buffer(const Parameter* p) const;
   /// Validated access to the fp16 gradient shard (absent in an
   /// inference_only store).
-  const TierBuffer& grad_buffer(const Parameter* p) const;
-  const TierBuffer& param_full_buffer(const Parameter* p,
-                                      std::size_t elems) const;
+  TierBuffer& grad_buffer(const Parameter* p) const;
+  TierBuffer& param_full_buffer(const Parameter* p, std::size_t elems) const;
   /// The optimizer regions are absent in an inference_only store.
   TierBuffer& checked_region(TierBuffer* region) const;
   TierSlice slice(TierBuffer* region, const Parameter* p) const;

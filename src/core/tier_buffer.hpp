@@ -11,10 +11,7 @@
 // All byte movement — including the GPU/CPU memcpy paths — routes through
 // the rank's DataMover, so every transfer is bounds-checked (typed
 // BoundsError, overflow-safe), traced, and counted per route.
-//
-// A TierSlice addresses a fixed byte range of a TierBuffer with
-// slice-relative offsets: one parameter's shard of a flat optimizer-state
-// region (core/state_store.hpp).
+
 #pragma once
 
 #include <cstdint>
@@ -84,6 +81,8 @@ class TierBuffer {
   Extent extent_;                 // kNvme
 };
 
+/// A fixed byte range of a TierBuffer — one parameter's shard of a flat
+/// optimizer-state region (core/state_store.hpp).
 class TierSlice {
  public:
   /// The bytes [offset, offset + bytes) of `buf`, which must outlive the

@@ -200,7 +200,7 @@ TEST_F(OptimizerTest, IoFaultMidPipelineRethrowsAndLeavesNothingInFlight) {
     // a write-back of chunk 0 or 1.
     FaultInjector::instance().configure(std::string(site) +
                                         ":error,after=4,count=1");
-    EXPECT_THROW(driver.step(1, 1.0f, 1.0f, true, nullptr),
+    EXPECT_THROW(driver.step(1, 1.0f, 1.0f, nullptr),
                  RetriesExhaustedError);
     EXPECT_LT(driver.stats().chunks_pipelined, num_chunks);
     FaultInjector::instance().clear();
@@ -215,7 +215,7 @@ TEST_F(OptimizerTest, IoFaultMidPipelineRethrowsAndLeavesNothingInFlight) {
 
     // Nothing stale is left in the pipeline's buffers.
     const std::uint64_t before = driver.stats().chunks_pipelined;
-    driver.step(2, 1.0f, 1.0f, true, nullptr);
+    driver.step(2, 1.0f, 1.0f, nullptr);
     EXPECT_EQ(driver.stats().chunks_pipelined - before, num_chunks);
     EXPECT_EQ(res.pinned().available(), pinned_total);
   }
