@@ -79,12 +79,12 @@ ModelStateStore::ModelStateStore(RankResources& res,
 
     if (config_.params_partitioned()) {
       if (config_.bandwidth_centric) {
-        // Bandwidth-centric: this rank persists its 1/dp slice. With the
-        // optimizer partitioned too, the two specs are equal and
-        // h16_scratch already holds this slice: each value is drawn once.
+        // Bandwidth-centric: this rank persists its 1/dp slice. Stage 3
+        // partitions the optimizer alike, so when training h16_scratch
+        // already holds this slice: each value is drawn once.
         const auto pshard_n =
             static_cast<std::size_t>(e.param_spec.shard_elems);
-        if (config_.inference_only || !config_.optimizer_partitioned()) {
+        if (config_.inference_only) {
           h16_scratch.resize(pshard_n);
           init_shard_fp16(*p, e.param_spec, rank_, h16_scratch);
         }
