@@ -17,7 +17,9 @@ constexpr std::size_t kSqnormBlock = 1024;
 
 OptimizerDriver::OptimizerDriver(ModelStateStore& store,
                                  const EngineConfig& config)
-    : store_(store), config_(config), chunk_elems_(config.optimizer_chunk_elems) {
+    : store_(store),
+      config_(config),
+      chunk_elems_(config.optimizer_chunk_elems) {
   ZI_CHECK(chunk_elems_ > 0);
   for (Parameter* p : store_.params()) {
     segments_.push_back(
@@ -127,9 +129,10 @@ void OptimizerDriver::step_chunked_nvme(std::int64_t step_num,
   auto for_each_segment = [&](std::int64_t c, auto&& fn) {
     const std::int64_t lo = c * chunk;
     const std::int64_t hi = lo + static_cast<std::int64_t>(elems_of(c));
-    auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), lo,
-        [](std::int64_t v, const Segment& s) { return v < s.offset + s.elems; });
+    auto it = std::upper_bound(segments_.begin(), segments_.end(), lo,
+                               [](std::int64_t v, const Segment& s) {
+                                 return v < s.offset + s.elems;
+                               });
     for (; it != segments_.end() && it->offset < hi; ++it) {
       const std::int64_t b = std::max(lo, it->offset);
       const std::int64_t e = std::min(hi, it->offset + it->elems);

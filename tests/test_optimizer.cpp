@@ -81,7 +81,9 @@ RunResult train_and_checkpoint(EngineConfig cfg, const fs::path& dir) {
     for (int s = 0; s < kSteps; ++s) {
       make_batch(comm.rank(), s, mc, tokens, targets);
       const auto st = engine.train_step(tokens, targets);
-      if (comm.rank() == 0) run.losses[static_cast<std::size_t>(s)] = st.global_loss;
+      if (comm.rank() == 0) {
+        run.losses[static_cast<std::size_t>(s)] = st.global_loss;
+      }
     }
     engine.save_checkpoint(ckpt);
     if (comm.rank() == 0) {
@@ -116,7 +118,8 @@ class OptimizerTest : public ::testing::Test {
 constexpr std::uint64_t kPerParameterCheckpointFnv = 0x070e519ab6454171ull;
 
 TEST_F(OptimizerTest, EveryChunkingPlacementAndLayoutMatchesDdp) {
-  const RunResult ref = train_and_checkpoint(preset_data_parallel(), dir_ / "ddp");
+  const RunResult ref =
+      train_and_checkpoint(preset_data_parallel(), dir_ / "ddp");
   ASSERT_FALSE(ref.ckpt.empty());
   EXPECT_EQ(fnv1a(ref.ckpt), kPerParameterCheckpointFnv)
       << std::hex << "0x" << fnv1a(ref.ckpt);
@@ -143,7 +146,8 @@ TEST_F(OptimizerTest, EveryChunkingPlacementAndLayoutMatchesDdp) {
           cfg.overlap_transfers = overlap;
           cfg.optimizer_chunk_elems = chunk;
           const std::string name =
-              std::string(pl.name) + (weights.empty() ? "_uniform" : "_weighted") +
+              std::string(pl.name) +
+              (weights.empty() ? "_uniform" : "_weighted") +
               (overlap ? "_overlap" : "_sequential") + "_chunk" +
               std::to_string(chunk);
           const RunResult run = train_and_checkpoint(cfg, dir_ / name);
