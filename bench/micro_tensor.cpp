@@ -2,6 +2,8 @@
 // compute substrate under the training engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
@@ -267,6 +269,29 @@ void BM_F16ToF32(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * 6);
 }
 BENCHMARK(BM_F16ToF32)->Apply(conversion_sizes);
+
+// The reduce-scatter's rank-order sum: two ranks' fp16 terms into n
+// outputs (73,728 is the fc1 weight's chunk at world 2 on train_nvme_b1).
+void BM_SumOverRanks(benchmark::State& state) {
+  const Tier tier(state);
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  std::vector<half> a(n), b(n);
+  floats_to_halves(conversion_mix(n), a);
+  floats_to_halves(conversion_mix(n), b);
+  std::reverse(b.begin(), b.end());
+  const half* srcs[] = {a.data(), b.data()};
+  std::vector<half> out(n);
+  for (auto _ : state) {
+    sum_over_ranks(srcs, 0, std::span<half>(out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 6);
+}
+BENCHMARK(BM_SumOverRanks)->ArgNames({"tier", "n"})->Apply([](auto* b) {
+  in_both_tiers(b, {{1 << 14}, {73728}});
+});
 
 void set_elem_rate(benchmark::State& state, std::size_t n) {
   state.counters["Melem/s"] = benchmark::Counter(

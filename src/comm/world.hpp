@@ -469,15 +469,37 @@ class Communicator {
   /// Each rank contributes `send`; every rank receives the concatenation
   /// [rank 0 | rank 1 | ...] in `recv`. All contributions are equal-sized;
   /// recv.size() == send.size() * size(). `send` may be this rank's own
-  /// slot of `recv` (in place).
+  /// slot of `recv` (in place). The one-segment case of the form below.
   template <typename T>
-  void allgather(std::span<const T> send, std::span<T> recv);
+  void allgather(std::span<const T> send, std::span<T> recv) {
+    allgather<T>(send, std::span<const std::span<T>>(&recv, 1));
+  }
+
+  /// Segmented allgather: one collective fills a list of buffers. Segment
+  /// s takes a piece of recv[s].size() / size() elements from every rank
+  /// and receives [rank 0 | rank 1 | ...] of those pieces in recv[s];
+  /// `send` is this rank's pieces, concatenated in segment order. The same
+  /// two sync points as one allgather, then one copy per segment and peer.
+  template <typename T>
+  void allgather(std::span<const T> send,
+                 std::span<const std::span<T>> recv);
 
   /// Each rank contributes `send` of size recv.size()*size(); rank r
   /// receives the element-wise sum (over ranks, ascending order, fp32
-  /// accumulation) of chunk r in `recv`.
+  /// accumulation) of chunk r in `recv`. The one-segment case of the form
+  /// below.
   template <typename T>
-  void reduce_scatter_sum(std::span<const T> send, std::span<T> recv);
+  void reduce_scatter_sum(std::span<const T> send, std::span<T> recv) {
+    reduce_scatter_sum<T>(send, std::span<const std::span<T>>(&recv, 1));
+  }
+
+  /// Segmented reduce-scatter: `send` concatenates one full buffer per
+  /// segment, recv[s].size() * size() elements each, and rank r receives
+  /// the sum of chunk r of buffer s in recv[s]. The same two sync points
+  /// as one reduce-scatter, then one rank-order reduction per segment.
+  template <typename T>
+  void reduce_scatter_sum(std::span<const T> send,
+                          std::span<const std::span<T>> recv);
 
   /// Element-wise sum across ranks, result replicated (rank-order, fp32
   /// accumulation — same arithmetic as reduce_scatter_sum + allgather).
@@ -553,61 +575,6 @@ class Communicator {
 };
 
 // ---------------------------------------------------------------------------
-// Reduction kernel shared by reduce_scatter_sum and allreduce_sum.
-
-namespace detail {
-
-/// Elements reduced per block: the fp32 scratch is at most two blocks,
-/// whatever the message size.
-inline constexpr std::size_t kReduceBlockElems = 2048;
-
-inline void to_floats(const float* src, float* dst, std::size_t n) {
-  std::copy_n(src, n, dst);
-}
-inline void to_floats(const half* src, float* dst, std::size_t n) {
-  halves_to_floats({src, n}, {dst, n});
-}
-inline void to_floats(const double* src, float* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-}
-inline void from_floats(const float* src, float* dst, std::size_t n) {
-  std::copy_n(src, n, dst);
-}
-inline void from_floats(const float* src, half* dst, std::size_t n) {
-  floats_to_halves({src, n}, {dst, n});
-}
-inline void from_floats(const float* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-}
-
-/// out[i] = Σ_r srcs[r][offset + i] in fp32, summed from +0.0f in ascending
-/// rank order (so −0.0 contributions sum to +0.0), stored back as T.
-template <typename T>
-void reduce_sum(const std::vector<const T*>& srcs, std::size_t offset,
-                std::span<T> out) {
-  const std::size_t block = std::min(kReduceBlockElems, out.size());
-  std::vector<float> scratch(2 * block);
-  float* acc = scratch.data();
-  float* term = acc + block;
-  for (std::size_t lo = 0; lo < out.size(); lo += block) {
-    const std::size_t n = std::min(block, out.size() - lo);
-    std::fill_n(acc, n, 0.0f);
-    for (const T* src : srcs) {
-      to_floats(src + offset + lo, term, n);
-      // Eight-wide inner loop: the compiler turns it into vector adds.
-      std::size_t i = 0;
-      for (; i + 8 <= n; i += 8) {
-        for (std::size_t l = 0; l < 8; ++l) acc[i + l] += term[i + l];
-      }
-      for (; i < n; ++i) acc[i] += term[i];
-    }
-    from_floats(acc, out.data() + lo, n);
-  }
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // Template implementations
 
 template <typename T>
@@ -646,11 +613,19 @@ void Communicator::broadcast(std::span<T> data, int root) {
 }
 
 template <typename T>
-void Communicator::allgather(std::span<const T> send, std::span<T> recv) {
+void Communicator::allgather(std::span<const T> send,
+                             std::span<const std::span<T>> recv) {
   auto& t = *transport_;
   const auto n = static_cast<std::size_t>(t.size());
-  ZI_CHECK_MSG(recv.size() == send.size() * n,
-               "allgather: recv " << recv.size() << " != send " << send.size()
+  std::size_t recv_elems = 0;
+  for (const std::span<T>& seg : recv) {
+    ZI_CHECK_MSG(seg.size() % n == 0, "allgather: segment of "
+                                          << seg.size()
+                                          << " is not split over " << n);
+    recv_elems += seg.size();
+  }
+  ZI_CHECK_MSG(recv_elems == send.size() * n,
+               "allgather: recv " << recv_elems << " != send " << send.size()
                                   << " * " << n);
   ZI_TRACE_SPAN("comm", "allgather",
                 "\"bytes\":" + std::to_string(send.size_bytes()));
@@ -663,23 +638,29 @@ void Communicator::allgather(std::span<const T> send, std::span<T> recv) {
   for (std::size_t r = 0; r < n; ++r) {
     ZI_CHECK_MSG(t.peer_count(r) == send.size(),
                  "allgather: unequal send sizes");
-    T* dst = recv.data() + r * send.size();
-    const void* src = t.peer_data(static_cast<int>(r));
-    // In place: this rank's send already is its slot, and peers may be
-    // reading it.
-    if (src != dst) std::memcpy(dst, src, send.size_bytes());
+    const T* src = static_cast<const T*>(t.peer_data(static_cast<int>(r)));
+    for (const std::span<T>& seg : recv) {
+      const std::size_t piece = seg.size() / n;
+      T* dst = seg.data() + r * piece;
+      // In place: this rank's send already is its slot, and peers may be
+      // reading it.
+      if (src != dst) std::memcpy(dst, src, piece * sizeof(T));
+      src += piece;
+    }
   }
   sync_point("allgather");  // all reads done; send buffers reusable
 }
 
 template <typename T>
 void Communicator::reduce_scatter_sum(std::span<const T> send,
-                                      std::span<T> recv) {
+                                      std::span<const std::span<T>> recv) {
   auto& t = *transport_;
   const auto n = static_cast<std::size_t>(t.size());
-  ZI_CHECK_MSG(send.size() == recv.size() * n,
+  std::size_t recv_elems = 0;
+  for (const std::span<T>& seg : recv) recv_elems += seg.size();
+  ZI_CHECK_MSG(send.size() == recv_elems * n,
                "reduce_scatter: send " << send.size() << " != recv "
-                                       << recv.size() << " * " << n);
+                                       << recv_elems << " * " << n);
   ZI_TRACE_SPAN("comm", "reduce_scatter",
                 "\"bytes\":" + std::to_string(send.size_bytes()));
   enter_collective("reduce_scatter");
@@ -688,15 +669,18 @@ void Communicator::reduce_scatter_sum(std::span<const T> send,
                                              std::memory_order_relaxed);
   t.publish(send.data(), send.size_bytes(), send.size());
   sync_point("reduce_scatter");
-  // Each rank reduces its own chunk: ascending rank order, fp32 accumulation.
+  // Each rank reduces its own chunk of every segment: ascending rank order,
+  // fp32 accumulation.
   std::vector<const T*> srcs(n);
   for (std::size_t r = 0; r < n; ++r) {
     ZI_CHECK_MSG(t.peer_count(r) == send.size(),
                  "reduce_scatter: unequal send sizes");
     srcs[r] = static_cast<const T*>(t.peer_data(static_cast<int>(r)));
   }
-  detail::reduce_sum<T>(srcs, static_cast<std::size_t>(rank_) * recv.size(),
-                        recv);
+  for (const std::span<T>& seg : recv) {
+    sum_over_ranks(srcs, static_cast<std::size_t>(rank_) * seg.size(), seg);
+    for (const T*& src : srcs) src += seg.size() * n;
+  }
   sync_point("reduce_scatter");
 }
 
@@ -723,7 +707,7 @@ void Communicator::allreduce_sum(std::span<T> data) {
   const std::size_t lo = total * static_cast<std::size_t>(rank_) / n;
   const std::size_t hi = total * (static_cast<std::size_t>(rank_) + 1) / n;
   std::vector<T> reduced(hi - lo);
-  detail::reduce_sum<T>(srcs, lo, reduced);
+  sum_over_ranks(srcs, lo, std::span<T>(reduced));
   sync_point("allreduce");  // all slices reduced before anyone overwrites
   // Every rank writes its slice into every rank's buffer.
   for (std::size_t r = 0; r < n; ++r) {

@@ -154,26 +154,40 @@ I4 float4_to_halves(V4 f) {
   return mag | ((x >> 16) & 0x8000);
 }
 
+// Each tier moves eight floats at a time through an F8: two 16-byte vectors
+// in the SSE2 tier, one 32-byte vector in the wide one. F8s pass only by
+// reference, so no 32-byte vector meets the baseline calling convention.
 struct Sse2 {
   static constexpr std::size_t kStep = 8;  // elements per loop iteration
+  struct F8 {
+    V4 lo, hi;
+  };
 
-  static void widen8(const half* src, float* dst) {
+  static void zero8(F8& f) { f.lo = f.hi = V4{}; }
+  static void add8(F8& acc, const F8& term) {
+    acc.lo += term.lo;
+    acc.hi += term.hi;
+  }
+  static void load8(F8& f, const float* src) {
+    std::memcpy(&f, src, sizeof f);
+  }
+  static void store8(const F8& f, float* dst) {
+    std::memcpy(dst, &f, sizeof f);
+  }
+
+  static void load8(F8& f, const half* src) {
     H8 h;
     std::memcpy(&h, src, sizeof h);
     const H8 zero{};
-    const I4 lo = std::bit_cast<I4>(
-        __builtin_shufflevector(h, zero, 0, 8, 1, 9, 2, 10, 3, 11));
-    const I4 hi = std::bit_cast<I4>(
-        __builtin_shufflevector(h, zero, 4, 12, 5, 13, 6, 14, 7, 15));
-    const V4 f[2] = {halves_to_float4(lo), halves_to_float4(hi)};
-    std::memcpy(dst, f, sizeof f);
+    f.lo = halves_to_float4(std::bit_cast<I4>(
+        __builtin_shufflevector(h, zero, 0, 8, 1, 9, 2, 10, 3, 11)));
+    f.hi = halves_to_float4(std::bit_cast<I4>(
+        __builtin_shufflevector(h, zero, 4, 12, 5, 13, 6, 14, 7, 15)));
   }
 
-  static void narrow8(const float* src, half* dst) {
-    V4 f[2];
-    std::memcpy(f, src, sizeof f);
-    const H8 lo = std::bit_cast<H8>(float4_to_halves(f[0]));
-    const H8 hi = std::bit_cast<H8>(float4_to_halves(f[1]));
+  static void store8(const F8& f, half* dst) {
+    const H8 lo = std::bit_cast<H8>(float4_to_halves(f.lo));
+    const H8 hi = std::bit_cast<H8>(float4_to_halves(f.hi));
     const H8 h = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
     std::memcpy(static_cast<void*>(dst), &h, sizeof h);
   }
@@ -181,9 +195,24 @@ struct Sse2 {
 
 struct F16c {
   static constexpr std::size_t kStep = 16;
+  struct F8 {
+    __m256 v;
+  };
 
-  [[gnu::target("avx2,f16c")]] static void widen8(const half* src,
-                                                   float* dst) {
+  [[gnu::target("avx2,f16c")]] static void zero8(F8& f) {
+    f.v = _mm256_setzero_ps();
+  }
+  [[gnu::target("avx2,f16c")]] static void add8(F8& acc, const F8& term) {
+    acc.v = _mm256_add_ps(acc.v, term.v);
+  }
+  [[gnu::target("avx2,f16c")]] static void load8(F8& f, const float* src) {
+    f.v = _mm256_loadu_ps(src);
+  }
+  [[gnu::target("avx2,f16c")]] static void store8(const F8& f, float* dst) {
+    _mm256_storeu_ps(dst, f.v);
+  }
+
+  [[gnu::target("avx2,f16c")]] static void load8(F8& f, const half* src) {
     const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
     // Signalling NaN: all-ones exponent, quiet bit clear, payload non-zero.
     const __m128i snan = _mm_andnot_si128(
@@ -193,32 +222,42 @@ struct F16c {
                         _mm_set1_epi16(0x7C00)));
     const __m256i quiet_bit = _mm256_and_si256(
         _mm256_cvtepi16_epi32(snan), _mm256_set1_epi32(0x00400000));
-    _mm256_storeu_ps(dst, _mm256_andnot_ps(_mm256_castsi256_ps(quiet_bit),
-                                           _mm256_cvtph_ps(h)));
+    f.v = _mm256_andnot_ps(_mm256_castsi256_ps(quiet_bit), _mm256_cvtph_ps(h));
   }
 
-  [[gnu::target("avx2,f16c")]] static void narrow8(const float* src,
-                                                   half* dst) {
-    const __m256 f = _mm256_loadu_ps(src);
-    const __m256 sign = _mm256_and_ps(f, _mm256_set1_ps(-0.0f));
+  [[gnu::target("avx2,f16c")]] static void store8(const F8& f, half* dst) {
+    const __m256 sign = _mm256_and_ps(f.v, _mm256_set1_ps(-0.0f));
     const __m256 quiet_nan = _mm256_or_ps(
         sign, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FC00000)));
-    const __m256 is_nan = _mm256_cmp_ps(f, f, _CMP_UNORD_Q);
+    const __m256 is_nan = _mm256_cmp_ps(f.v, f.v, _CMP_UNORD_Q);
     const __m128i h =
-        _mm256_cvtps_ph(_mm256_blendv_ps(f, quiet_nan, is_nan),
+        _mm256_cvtps_ph(_mm256_blendv_ps(f.v, quiet_nan, is_nan),
                         _MM_FROUND_TO_NEAREST_INT);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), h);
   }
 };
 
+// One F8 through: a conversion is a load of one type and a store of the
+// other.
+template <class T, class From, class To>
+void convert8(const From* src, To* dst) {
+  typename T::F8 f;
+  T::load8(f, src);
+  T::store8(f, dst);
+}
+
 template <class T>
 void widen_step(const half* src, float* dst) {
-  for (std::size_t c = 0; c < T::kStep; c += 8) T::widen8(src + c, dst + c);
+  for (std::size_t c = 0; c < T::kStep; c += 8) {
+    convert8<T>(src + c, dst + c);
+  }
 }
 
 template <class T>
 void narrow_step(const float* src, half* dst) {
-  for (std::size_t c = 0; c < T::kStep; c += 8) T::narrow8(src + c, dst + c);
+  for (std::size_t c = 0; c < T::kStep; c += 8) {
+    convert8<T>(src + c, dst + c);
+  }
 }
 
 template <class T>
@@ -254,7 +293,7 @@ void widen_strided(const half* src, std::size_t stride, std::size_t width,
                    std::size_t rows, float* dst) {
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < width; c += 8) {
-      T::widen8(src + r * stride + c, dst + r * width + c);
+      convert8<T>(src + r * stride + c, dst + r * width + c);
     }
   }
 }
@@ -285,6 +324,47 @@ void widen_strided_sse2(const half* src, std::size_t stride,
   widen_strided<F16c>(src, stride, width, rows, dst);
 }
 
+// Reduction: out[i] = Σ_r srcs[r][offset + i]. Each group of eight
+// elements widens every rank's terms and adds them to one accumulator in
+// ascending rank order from +0.0f, then narrows once, all in registers;
+// the tail runs the same lanes over zero-padded copies.
+template <class T, class E>
+void sum_body(std::span<const E* const> srcs, std::size_t offset, E* out,
+              std::size_t n) {
+  typename T::F8 acc, term;
+  const std::size_t full = n - n % 8;
+  for (std::size_t i = 0; i < full; i += 8) {
+    T::zero8(acc);
+    for (const E* src : srcs) {
+      T::load8(term, src + offset + i);
+      T::add8(acc, term);
+    }
+    T::store8(acc, out + i);
+  }
+  if (full == n) return;
+  const std::size_t tail = (n - full) * sizeof(E);
+  E pad[8] = {};
+  T::zero8(acc);
+  for (const E* src : srcs) {
+    std::memcpy(static_cast<void*>(pad), src + offset + full, tail);
+    T::load8(term, pad);
+    T::add8(acc, term);
+  }
+  T::store8(acc, pad);
+  std::memcpy(static_cast<void*>(out + full), pad, tail);
+}
+
+template <class E>
+void sum_sse2(std::span<const E* const> srcs, std::size_t offset,
+              std::span<E> out) {
+  sum_body<Sse2>(srcs, offset, out.data(), out.size());
+}
+template <class E>
+[[gnu::target("avx2,f16c"), gnu::flatten]] void sum_f16c(
+    std::span<const E* const> srcs, std::size_t offset, std::span<E> out) {
+  sum_body<F16c>(srcs, offset, out.data(), out.size());
+}
+
 bool wide() noexcept { return kernel_tier() == KernelTier::kAvx2F16c; }
 
 }  // namespace
@@ -308,6 +388,16 @@ void halves_to_floats_strided(const half* src, std::size_t stride,
                               float* dst) noexcept {
   (wide() ? widen_strided_f16c : widen_strided_sse2)(src, stride, width, rows,
                                                      dst);
+}
+
+void sum_over_ranks(std::span<const half* const> srcs, std::size_t offset,
+                    std::span<half> out) {
+  (wide() ? sum_f16c<half> : sum_sse2<half>)(srcs, offset, out);
+}
+
+void sum_over_ranks(std::span<const float* const> srcs, std::size_t offset,
+                    std::span<float> out) {
+  (wide() ? sum_f16c<float> : sum_sse2<float>)(srcs, offset, out);
 }
 
 bool all_finite(std::span<const half> src) noexcept {

@@ -95,6 +95,16 @@ void halves_to_floats_strided(const half* src, std::size_t stride,
                               float* dst) noexcept;
 /// dst[i] = half(src[i]), round-to-nearest-even.
 void floats_to_halves(std::span<const float> src, std::span<half> dst);
+/// The reduction behind reduce_scatter_sum and allreduce_sum:
+/// out[i] = Σ_r srcs[r][offset + i], each term widened to float and added
+/// in ascending r starting from +0.0f (so an all −0.0 sum is +0.0), then
+/// narrowed once with round-to-nearest-even. Returns exactly the bits of
+/// that per-element loop, in either kernel tier.
+void sum_over_ranks(std::span<const half* const> srcs, std::size_t offset,
+                    std::span<half> out);
+/// The same reduction over fp32 terms, with no narrowing.
+void sum_over_ranks(std::span<const float* const> srcs, std::size_t offset,
+                    std::span<float> out);
 /// True if every element is finite (no Inf, no NaN).
 bool all_finite(std::span<const half> src) noexcept;
 

@@ -1,12 +1,12 @@
 // Which vector tier the numeric kernels run.
 //
-// The three vectorised kernels (the GEMM family in tensor/ops.cpp, the bulk
-// fp16 conversions in common/half.cpp, fused Adam in optim/adam.cpp) each
-// have two tiers built from one template body: 16-byte SSE2 vectors, the
-// x86-64 baseline every build targets, and 32-byte vectors with F16C
-// conversions, compiled into `target("avx2,f16c")` functions. The wide tier
-// runs when the CPU has AVX2 and F16C, checked once per process. Both tiers
-// return the same bits (DESIGN.md §2), so no result depends on the machine.
+// The four vectorised kernels (the GEMM family in tensor/ops.cpp, the bulk
+// fp16 conversions and rank-order sums in common/half.cpp, fused Adam in
+// optim/adam.cpp) each have two tiers built from one template body: 16-byte
+// SSE2 vectors, the x86-64 baseline every build targets, and 32-byte
+// vectors with F16C conversions, compiled into `target("avx2,f16c")`
+// functions. The wide tier runs when the CPU has AVX2 and F16C, checked
+// once per process. Both tiers return the same bits (DESIGN.md §2).
 #pragma once
 
 namespace zi {

@@ -11,17 +11,40 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+namespace {
+
+// Chain two mixes so that nearby (stream, counter) pairs decorrelate: draw
+// i of a stream is mix64(key + i), with key = mix64(seed ^ mix64(stream)).
+std::uint64_t stream_key(std::uint64_t seed, std::uint64_t stream) noexcept {
+  return mix64(seed ^ mix64(stream));
+}
+
+double unit(std::uint64_t bits) noexcept {
+  // Top 53 bits → double in [0, 1).
+  return static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);
+}
+
+// Box–Muller on draws 2i and 2i+1 of a dedicated sub-stream: a tag folded
+// into the counter domain keeps normal and uniform draws at the same index
+// apart. Only the cosine is used, so element i never depends on i ± 1.
+float normal(std::uint64_t key, std::uint64_t i) noexcept {
+  const std::uint64_t base = 0x5DEECE66Dull + 2 * i;
+  double u1 = unit(mix64(key + base));
+  const double u2 = unit(mix64(key + base + 1));
+  if (u1 <= 0.0) u1 = 1e-300;  // avoid log(0)
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  return static_cast<float>(r * std::cos(2.0 * M_PI * u2));
+}
+
+}  // namespace
+
 std::uint64_t Rng::at(std::uint64_t i) const noexcept {
-  // Chain two mixes so that nearby (stream, counter) pairs decorrelate.
-  return mix64(mix64(seed_ ^ mix64(stream_)) + i);
+  return mix64(stream_key(seed_, stream_) + i);
 }
 
 double Rng::next_uniform() noexcept { return uniform_at(counter_++); }
 
-double Rng::uniform_at(std::uint64_t i) const noexcept {
-  // Top 53 bits → double in [0, 1).
-  return static_cast<double>(at(i) >> 11) * (1.0 / 9007199254740992.0);
-}
+double Rng::uniform_at(std::uint64_t i) const noexcept { return unit(at(i)); }
 
 float Rng::next_normal() noexcept {
   const float v = normal_at(counter_);
@@ -30,15 +53,15 @@ float Rng::next_normal() noexcept {
 }
 
 float Rng::normal_at(std::uint64_t i) const noexcept {
-  // Dedicated sub-stream: fold a tag into the counter domain so normal and
-  // uniform draws at the same index do not collide.
-  const std::uint64_t base = 0x5DEECE66Dull + 2 * i;
-  double u1 = static_cast<double>(at(base) >> 11) * (1.0 / 9007199254740992.0);
-  const double u2 =
-      static_cast<double>(at(base + 1) >> 11) * (1.0 / 9007199254740992.0);
-  if (u1 <= 0.0) u1 = 1e-300;  // avoid log(0)
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return static_cast<float>(r * std::cos(2.0 * M_PI * u2));
+  return normal(stream_key(seed_, stream_), i);
+}
+
+void Rng::normals_at(std::uint64_t first, float scale,
+                     std::span<float> out) const noexcept {
+  const std::uint64_t key = stream_key(seed_, stream_);
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = normal(key, first + j) * scale;
+  }
 }
 
 std::uint64_t Rng::next_below(std::uint64_t n) noexcept {

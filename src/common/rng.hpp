@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace zi {
 
@@ -37,6 +38,10 @@ class Rng {
   /// Standard normal at position i (consumes positions 2i and 2i+1 of a
   /// dedicated sub-stream so interleaving with next_u64 is safe).
   float normal_at(std::uint64_t i) const noexcept;
+  /// out[j] = normal_at(first + j) * scale, with the stream key mixed once
+  /// for the whole span.
+  void normals_at(std::uint64_t first, float scale,
+                  std::span<float> out) const noexcept;
 
   /// Uniform integer in [0, n).
   std::uint64_t next_below(std::uint64_t n) noexcept;

@@ -104,15 +104,13 @@ ShardSpec make_shard_spec(std::int64_t numel, int world,
 void init_shard_fp16(const Parameter& p, const ShardSpec& spec, int rank,
                      std::span<half> shard) {
   ZI_CHECK(static_cast<std::int64_t>(shard.size()) == spec.shard_elems);
-  const std::int64_t base = spec.begin(rank);
-  const std::int64_t valid = spec.valid_elems(rank);
-  for (std::int64_t i = 0; i < valid; ++i) {
-    shard[static_cast<std::size_t>(i)] = half(p.init_value(base + i));
-  }
+  const auto valid = static_cast<std::size_t>(spec.valid_elems(rank));
+  std::vector<float> values(valid);
+  p.init_values(spec.begin(rank), values);
+  floats_to_halves(values, shard.first(valid));
   // Tail padding is zero so padded gathers and reductions stay benign.
-  for (std::int64_t i = valid; i < spec.shard_elems; ++i) {
-    shard[static_cast<std::size_t>(i)] = half(0.0f);
-  }
+  std::fill(shard.begin() + static_cast<std::ptrdiff_t>(valid), shard.end(),
+            half(0.0f));
 }
 
 void extract_shard_fp16(std::span<const half> full,

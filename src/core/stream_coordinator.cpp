@@ -1,5 +1,6 @@
 #include "core/stream_coordinator.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -63,7 +64,7 @@ void StreamCoordinator::intercept_access(void* ctx, Parameter* p) {
   // Gather now (blocking; a collective — every rank executes the same
   // deterministic access), and register on the consuming module so all
   // future iterations gather/release it through the normal hooks.
-  self->fetch(p, self->in_backward_);
+  self->fetch(p, self->in_backward_, /*bucket=*/false);
   current->register_external_parameter(p);
   ++self->stats_.auto_registrations;
 }
@@ -71,17 +72,25 @@ void StreamCoordinator::intercept_access(void* ctx, Parameter* p) {
 void StreamCoordinator::begin_iteration() {
   cursor_ = 0;
   // The trace recorded last iteration becomes the prediction for this one.
-  if (recording_ && !trace_.empty()) recording_ = false;
+  if (recording_ && !trace_.empty()) {
+    recording_ = false;
+    cut_buckets();
+  }
   drop_prefetches();
+  bucket_views_.clear();
+  // An iteration cut short by an exception leaves its hooks' state behind.
+  module_stack_.clear();
+  in_backward_ = false;
+  drop_queued_grads();
 }
 
 void StreamCoordinator::end_iteration() {
-  ZI_CHECK_MSG(!reuse_window_, "end_iteration inside a reuse window");
   // Training: persistent parameters survived the per-module releases; the
   // optimizer has just rewritten their shards, so the gathered copies
   // are stale and must be re-partitioned before the next gather. Serving:
   // weights are immutable — non-force release leaves them resident.
   const bool force = mode_ == Mode::kTraining;
+  bucket_views_.clear();
   for (Parameter* p : store_.params()) {
     if (p->status() == Parameter::Status::kAvailable) {
       release(p, force);
@@ -92,20 +101,6 @@ void StreamCoordinator::end_iteration() {
 void StreamCoordinator::set_eval_mode(bool eval) {
   if (eval) drop_prefetches();
   eval_mode_ = eval;
-}
-
-void StreamCoordinator::begin_reuse_window() {
-  ZI_CHECK_MSG(!reuse_window_, "reuse windows do not nest");
-  reuse_window_ = true;
-}
-
-void StreamCoordinator::end_reuse_window() {
-  ZI_CHECK_MSG(reuse_window_, "end_reuse_window without begin_reuse_window");
-  reuse_window_ = false;
-  for (int id : deferred_releases_) {
-    release(params_by_id_.at(id), /*force=*/false);
-  }
-  deferred_releases_.clear();
 }
 
 void StreamCoordinator::on_pre_forward(Module& m) {
@@ -150,10 +145,16 @@ bool StreamCoordinator::traced_fetch(const Parameter* p) const {
 }
 
 void StreamCoordinator::fetch(Parameter* p, bool for_backward) {
+  fetch(p, for_backward, /*bucket=*/true);
+}
+
+void StreamCoordinator::fetch(Parameter* p, bool for_backward, bool bucket) {
   if (for_backward) ensure_grad_buffer(p);
   if (p->status() == Parameter::Status::kAvailable) return;
   ++stats_.fetches;
-  if (traced_fetch(p)) advance_trace(p->id());
+  const std::size_t pos = cursor_;
+  const bool traced = traced_fetch(p);
+  if (traced) advance_trace(p->id());
 
   ZI_TRACE_SPAN("coord", "gather:" + p->name(),
                 std::string("\"backward\":") +
@@ -162,60 +163,24 @@ void StreamCoordinator::fetch(Parameter* p, bool for_backward) {
   const bool timed = MetricsSink::enabled();
   const auto fetch_t0 = timed ? Clock::now() : Clock::time_point{};
 
-  // The gathered parameter is one GPU arena block of the padded fp16 size
-  // (the cg-transfer target). It is the compute tensor itself: the kernels
-  // widen it as they read it. This is where "GPU" capacity pressure is
-  // enforced.
-  const ShardSpec& spec = store_.param_spec(p);
-  ArenaBlock block = res_.gpu().allocate(
-      static_cast<std::uint64_t>(spec.padded_numel()) * sizeof(half));
-  const std::span<half> full(reinterpret_cast<half*>(block.data()),
-                             static_cast<std::size_t>(spec.padded_numel()));
-  // Materialize the full fp16 values: bandwidth-centric allgather (every
-  // rank's link carries 1/dp in parallel, Sec. 6.1) or the broadcast
-  // baseline (the owner's link carries everything — the ZeRO/ZeRO-Offload
-  // data path the paper contrasts against).
-  if (store_.broadcast_mode()) {
-    const std::span<half> values =
-        full.first(static_cast<std::size_t>(p->numel()));
-    if (comm_.rank() == store_.param_owner(p)) {
-      // Only the owner ever stages a prefetch in broadcast mode (see the
-      // suppression in issue_prefetches), so only the owner consumes one.
-      if (std::optional<PrefetchSlot> staged = take_prefetch(p->id())) {
-        std::copy(staged->view.begin(), staged->view.end(), values.begin());
-      } else {
-        store_.load_param_full(p, values);
+  auto view = bucket_views_.extract(p->id());
+  if (view.empty()) {
+    // Gathered with an earlier member's bucket, or now: with the bucket p
+    // opens on a replayed trace, else alone.
+    std::vector<Parameter*> members{p};
+    std::optional<PrefetchSlot> staged;
+    if (bucket && traced && !recording_ && bucket_end_[pos] > 0) {
+      for (std::size_t i = pos + 1; i < bucket_end_[pos]; ++i) {
+        members.push_back(params_by_id_.at(trace_[i]));
       }
+      staged = take_prefetch(pos);
     }
-    comm_.broadcast<half>(values, store_.param_owner(p));
-    stats_.broadcast_fp16_elems += values.size();
-  } else {
-    const auto shard_n = static_cast<std::size_t>(spec.shard_elems);
-    // 1. Local shard: consume the prefetched copy if one is in flight
-    //    (`staged` keeps the staging buffer alive through the allgather),
-    //    else load synchronously from the parameter's tier (the
-    //    nc-transfer) into this rank's own slot of the block.
-    std::optional<PrefetchSlot> staged = take_prefetch(p->id());
-    std::span<const half> shard;
-    if (staged) {
-      shard = staged->view;
-    } else {
-      const std::span<half> own = full.subspan(
-          static_cast<std::size_t>(comm_.rank()) * shard_n, shard_n);
-      store_.load_param_shard(p, own);
-      shard = own;
-    }
-    // 2. Allgather the padded fp16 parameter across ranks straight into
-    //    the block (the gg-transfer; every rank moved only 1/dp of the data
-    //    from slow memory).
-    comm_.allgather<half>(shard, full);
-    // Weighted shards: slots carry unequal real chunks — compact them into
-    // the flat layout the kernels read (no-op for uniform specs).
-    compact_gathered<half>(spec, full);
-    stats_.allgather_fp16_elems += shard_n;
+    gather(members, std::move(staged));
+    view = bucket_views_.extract(p->id());
   }
-  p->full_tensor() = Tensor::view(p->shape(), DType::kF16, block.data());
-  gathered_.emplace(p->id(), std::move(block));
+  std::byte* data = view.mapped().block->data() + view.mapped().offset;
+  p->full_tensor() = Tensor::view(p->shape(), DType::kF16, data);
+  gathered_.insert_or_assign(p->id(), std::move(view.mapped().block));
   p->set_status(Parameter::Status::kAvailable);
   if (timed) {
     stats_.fetch_seconds +=
@@ -234,19 +199,103 @@ void StreamCoordinator::fetch(Parameter* p, bool for_backward) {
   issue_prefetches();
 }
 
+void StreamCoordinator::gather(std::span<Parameter* const> members,
+                               std::optional<PrefetchSlot> staged) {
+  // The gathered bucket is one GPU arena block (the cg-transfer target);
+  // each member's padded fp16 view in it starts on the arena grain and is
+  // that parameter's compute tensor: the kernels widen it as they read it.
+  // This is where "GPU" capacity pressure is enforced.
+  std::vector<std::size_t> offsets;
+  std::uint64_t bytes = 0;
+  for (const Parameter* p : members) {
+    offsets.push_back(bytes);
+    const auto padded =
+        static_cast<std::uint64_t>(store_.param_spec(p).padded_numel());
+    bytes += (padded * sizeof(half) + kArenaGrain - 1) / kArenaGrain *
+             kArenaGrain;
+  }
+  auto block = std::make_shared<ArenaBlock>(res_.gpu().allocate(bytes));
+  std::vector<std::span<half>> full;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    full.emplace_back(reinterpret_cast<half*>(block->data() + offsets[m]),
+                      static_cast<std::size_t>(
+                          store_.param_spec(members[m]).padded_numel()));
+  }
+  // Materialize the full fp16 values: bandwidth-centric allgather (every
+  // rank's link carries 1/dp in parallel, Sec. 6.1) or the broadcast
+  // baseline (the owner's link carries everything — the ZeRO/ZeRO-Offload
+  // data path the paper contrasts against).
+  if (store_.broadcast_mode()) {
+    ZI_CHECK(members.size() == 1);
+    Parameter* p = members.front();
+    const std::span<half> values =
+        full.front().first(static_cast<std::size_t>(p->numel()));
+    if (comm_.rank() == store_.param_owner(p)) {
+      // Only the owner ever stages a prefetch in broadcast mode (see the
+      // suppression in issue_prefetches), so only the owner consumes one.
+      if (staged) {
+        std::copy(staged->view.begin(), staged->view.end(), values.begin());
+      } else {
+        store_.load_param_full(p, values);
+      }
+    }
+    comm_.broadcast<half>(values, store_.param_owner(p));
+    stats_.broadcast_fp16_elems += values.size();
+  } else {
+    // 1. Local shards: the prefetched copies if they are in flight
+    //    (`staged` keeps the staging buffer alive through the allgather),
+    //    else synchronous loads from the parameters' tier (the
+    //    nc-transfer) — alone, into this rank's own slot of the block.
+    std::span<const half> send;
+    if (staged) {
+      send = staged->view;
+    } else if (members.size() == 1) {
+      const auto shard_n =
+          static_cast<std::size_t>(store_.param_spec(members[0]).shard_elems);
+      const std::span<half> own = full.front().subspan(
+          static_cast<std::size_t>(comm_.rank()) * shard_n, shard_n);
+      store_.load_param_shard(members[0], own);
+      send = own;
+    } else {
+      gather_send_.clear();
+      for (Parameter* p : members) {
+        const std::size_t at = gather_send_.size();
+        gather_send_.resize(at + staged_elems(p));
+        store_.load_param_shard(p, std::span<half>(gather_send_).subspan(at));
+      }
+      send = gather_send_;
+    }
+    // 2. Allgather the padded fp16 parameters across ranks straight into
+    //    the block, one segment per member (the gg-transfer; every rank
+    //    moved only 1/dp of the data from slow memory).
+    comm_.allgather<half>(send, full);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      // Weighted shards: slots carry unequal real chunks — compact them
+      // into the flat layout the kernels read (no-op for uniform specs).
+      compact_gathered<half>(store_.param_spec(members[m]), full[m]);
+      stats_.allgather_fp16_elems += staged_elems(members[m]);
+    }
+  }
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    bucket_views_.insert_or_assign(members[m]->id(),
+                                   BucketView{block, offsets[m]});
+  }
+}
+
 std::optional<StreamCoordinator::PrefetchSlot> StreamCoordinator::take_prefetch(
-    int id) {
-  auto it = prefetch_.find(id);
+    std::size_t pos) {
+  auto it = prefetch_.find(pos);
   if (it == prefetch_.end()) return std::nullopt;
   PrefetchSlot slot = std::move(it->second);
   prefetch_.erase(it);
   try {
-    // wait() returns (or throws) only once every sub-request has completed,
-    // so destroying the staging lease afterwards is safe even on failure.
-    slot.handle.wait();
+    // wait_all() returns (or throws) only once every member's read has
+    // completed, so destroying the staging lease afterwards is safe even
+    // on failure.
+    wait_all(slot.handles);
   } catch (...) {
     // Staged data abandoned; the pinned lease is released by slot's
-    // destructor during unwinding, and the next fetch of this parameter
+    // destructor during unwinding, and the next fetch of this bucket
     // falls back to a clean synchronous load.
     ++stats_.prefetch_drops;
     throw;
@@ -257,15 +306,8 @@ std::optional<StreamCoordinator::PrefetchSlot> StreamCoordinator::take_prefetch(
 
 void StreamCoordinator::release(Parameter* p, bool force) {
   if (p->status() != Parameter::Status::kAvailable) return;
-  if (!force && p->numel() <= config_.persistence_threshold_elems) {
+  if (!force && persistent(p)) {
     return;  // small parameter: stays gathered for the rest of the step
-  }
-  if (!force && reuse_window_) {
-    // Inside a weight-reuse window: the next batched request stream is
-    // about to run this module again — keep the gather, flush at window
-    // end. (The status check above makes duplicate deferrals no-ops.)
-    deferred_releases_.push_back(p->id());
-    return;
   }
   ++stats_.releases;
   if (observer_) {
@@ -275,7 +317,7 @@ void StreamCoordinator::release(Parameter* p, bool force) {
     emit(ev);
   }
   p->full_tensor() = Tensor();
-  gathered_.erase(p->id());  // frees the arena block
+  gathered_.erase(p->id());  // frees the block with its bucket's last member
   p->set_status(Parameter::Status::kNotAvailable);
 }
 
@@ -286,14 +328,43 @@ void StreamCoordinator::advance_trace(int param_id) {
              trace_[cursor_] != param_id) {
     // Dynamic workflow: the operator sequence changed. Keep the verified
     // prefix, re-record from here (Sec. 6.2: "ZeRO-Infinity can update the
-    // operator sequence map in case of dynamic workflow").
+    // operator sequence map in case of dynamic workflow"). Bucket members
+    // not yet fetched are dropped; their block lives on while a fetched
+    // member holds it.
     ++stats_.trace_invalidations;
     trace_.resize(cursor_);
     trace_.push_back(param_id);
     recording_ = true;
     drop_prefetches();
+    bucket_views_.clear();
   }
   ++cursor_;
+}
+
+void StreamCoordinator::cut_buckets() {
+  bucket_end_.assign(trace_.size(), 0);
+  std::size_t start = 0;
+  for (std::size_t i = 1; i <= trace_.size(); ++i) {
+    bool cut = i == trace_.size() || store_.broadcast_mode();
+    if (!cut) {
+      const Parameter* p = params_by_id_.at(trace_[i]);
+      const auto first = trace_.begin() + static_cast<std::ptrdiff_t>(start);
+      const auto here = trace_.begin() + static_cast<std::ptrdiff_t>(i);
+      cut = is_matrix(p) || persistent(p) ||
+            persistent(params_by_id_.at(trace_[i - 1])) ||
+            std::find(first, here, trace_[i]) != here;
+    }
+    if (cut) {
+      bucket_end_[start] = i;
+      start = i;
+    }
+  }
+}
+
+std::size_t StreamCoordinator::staged_elems(const Parameter* p) const {
+  return store_.broadcast_mode()
+             ? static_cast<std::size_t>(p->numel())
+             : static_cast<std::size_t>(store_.param_spec(p).shard_elems);
 }
 
 void StreamCoordinator::issue_prefetches() {
@@ -301,57 +372,76 @@ void StreamCoordinator::issue_prefetches() {
       config_.prefetch_depth <= 0) {
     return;
   }
-  const std::size_t end =
-      std::min(trace_.size(),
-               cursor_ + static_cast<std::size_t>(config_.prefetch_depth));
-  for (std::size_t i = cursor_; i < end; ++i) {
-    const int id = trace_[i];
-    if (prefetch_.contains(id)) continue;
-    Parameter* p = params_by_id_.at(id);
-    if (p->status() == Parameter::Status::kAvailable) continue;
-    if (store_.broadcast_mode() && store_.param_owner(p) != comm_.rank()) {
-      continue;  // only the owner has anything to pre-load
-    }
-    const std::size_t elems =
-        store_.broadcast_mode()
-            ? static_cast<std::size_t>(p->numel())
-            : static_cast<std::size_t>(store_.param_spec(p).shard_elems);
-    // Staging comes from the DataMover: pinned lease when one fits and is
-    // free, heap otherwise (Sec. 6.3) — the same fault-injection site
-    // (pinned_acquire) as before sits inside stage().
-    PrefetchSlot slot;
-    slot.staging = res_.mover().stage(elems * sizeof(half));
-    slot.view = {reinterpret_cast<half*>(slot.staging.bytes().data()), elems};
-    // Speculative traffic: a prefetch nobody is blocked on yet rides the
-    // bulk class, so a concurrent miss-path load (kLatency) overtakes it
-    // in the transfer scheduler.
-    slot.handle =
-        store_.broadcast_mode()
-            ? store_.load_param_full_async(p, slot.view, TransferClass::kBulk)
-            : store_.load_param_shard_async(p, slot.view,
-                                            TransferClass::kBulk);
-    ZI_TRACE_INSTANT("coord", "prefetch:" + p->name(),
-                     "\"bytes\":" + std::to_string(elems * sizeof(half)));
-    if (observer_) {
-      DataMovementEvent ev;
-      ev.kind = DataMovementEvent::Kind::kPrefetch;
-      ev.param = p->name();
-      ev.tier = config_.param_placement;
-      ev.broadcast = store_.broadcast_mode();
-      ev.pinned_staging = slot.staging.pinned();
-      emit(ev);
-    }
-    prefetch_.emplace(id, std::move(slot));
-    ++stats_.prefetches_issued;
+  // The next prefetch_depth buckets that start at or after the cursor.
+  std::size_t pos = cursor_;
+  for (int ahead = 0; ahead < config_.prefetch_depth; ++ahead) {
+    while (pos < trace_.size() && bucket_end_[pos] == 0) ++pos;
+    if (pos >= trace_.size()) return;
+    if (!prefetch_.contains(pos)) prefetch_bucket(pos, bucket_end_[pos]);
+    pos = bucket_end_[pos];
   }
 }
 
+void StreamCoordinator::prefetch_bucket(std::size_t pos, std::size_t end) {
+  Parameter* lead = params_by_id_.at(trace_[pos]);
+  if (store_.broadcast_mode() && store_.param_owner(lead) != comm_.rank()) {
+    return;  // only the owner has anything to pre-load
+  }
+  std::size_t elems = 0;
+  for (std::size_t i = pos; i < end; ++i) {
+    elems += staged_elems(params_by_id_.at(trace_[i]));
+  }
+  // Staging comes from the DataMover: pinned lease when one fits and is
+  // free, heap otherwise (Sec. 6.3) — the same fault-injection site
+  // (pinned_acquire) as before sits inside stage().
+  PrefetchSlot slot;
+  slot.staging = res_.mover().stage(elems * sizeof(half));
+  slot.view = {reinterpret_cast<half*>(slot.staging.bytes().data()), elems};
+  try {
+    std::size_t at = 0;
+    for (std::size_t i = pos; i < end; ++i) {
+      Parameter* p = params_by_id_.at(trace_[i]);
+      const std::size_t n = staged_elems(p);
+      // Speculative traffic: a prefetch nobody is blocked on yet rides the
+      // bulk class, so a concurrent miss-path load (kLatency) overtakes it
+      // in the transfer scheduler.
+      slot.handles.push_back(
+          store_.broadcast_mode()
+              ? store_.load_param_full_async(p, slot.view.subspan(at, n),
+                                             TransferClass::kBulk)
+              : store_.load_param_shard_async(p, slot.view.subspan(at, n),
+                                              TransferClass::kBulk));
+      at += n;
+      if (observer_) {
+        DataMovementEvent ev;
+        ev.kind = DataMovementEvent::Kind::kPrefetch;
+        ev.param = p->name();
+        ev.tier = config_.param_placement;
+        ev.broadcast = store_.broadcast_mode();
+        ev.pinned_staging = slot.staging.pinned();
+        emit(ev);
+      }
+    }
+  } catch (...) {
+    // Reads already issued must land before the lease dies.
+    try {
+      wait_all(slot.handles);
+    } catch (...) {
+    }
+    throw;
+  }
+  ZI_TRACE_INSTANT("coord", "prefetch:" + lead->name(),
+                   "\"bytes\":" + std::to_string(elems * sizeof(half)));
+  prefetch_.emplace(pos, std::move(slot));
+  ++stats_.prefetches_issued;
+}
+
 void StreamCoordinator::drop_prefetches() {
-  for (auto& [id, slot] : prefetch_) {
+  for (auto& [pos, slot] : prefetch_) {
     try {
       // In-flight reads must land before their staging leases die; an I/O
       // failure is immaterial here — the staged data is discarded anyway.
-      slot.handle.wait();
+      wait_all(slot.handles);
     } catch (...) {
     }
     ++stats_.prefetch_drops;

@@ -14,25 +14,33 @@
 // The prefetcher "traces the forward and backward computation on the fly,
 // constructing an internal map of the operator sequence for each
 // iteration" (Sec. 6.2): the first iteration records fetch order; later
-// iterations issue asynchronous shard loads `prefetch_depth` fetches ahead
-// (genuinely asynchronous when shards live on NVMe). If the observed
-// sequence diverges (dynamic control flow), the stale suffix is discarded
-// and re-recorded.
+// iterations replay it in buckets and issue asynchronous shard loads
+// `prefetch_depth` buckets ahead (genuinely asynchronous when shards live
+// on NVMe). If the observed sequence diverges (dynamic control flow), the
+// stale suffix is discarded and re-recorded.
 //
-// Two serving-specific behaviors, both inert in the default kTraining mode:
-//   * Mode::kServing — weights are immutable, so end_iteration() keeps
-//     persistent (small) parameters gathered across steps, and fetches of
-//     persistent parameters stay out of the trace (they happen only once,
-//     so tracing them would invalidate the trace on the second step).
-//   * reuse windows — begin_reuse_window()/end_reuse_window() defer
-//     post-forward releases, so many batched request streams can pass
-//     through one module while its weights stay gathered; the weights are
-//     fetched (and traced) once per window, then released when the window
-//     closes and compute moves to the next layer.
+// Buckets (ZeRO's fused buffers, arXiv 1910.02054 Sec. 6.3): once the trace
+// replays it is cut before every matrix (2-D parameter), so a bucket is one
+// matrix plus the 1-D parameters (biases, LayerNorm gains) fetched after
+// it, each parameter at most once. The first member's fetch gathers the
+// whole bucket with one segmented allgather into one arena block; each
+// member's view starts on the arena grain, so the block holds exactly the
+// bytes one block per member would, and it is freed at the last member's
+// release. The other members' fetches only claim their views, so events
+// and Stats::fetches stay per parameter. Recording, eval mode, the access
+// interceptor, persistent parameters and the broadcast baseline gather one
+// parameter at a time.
+//
+// Mode::kServing, inert in the default kTraining mode: weights are
+// immutable, so end_iteration() keeps persistent (small) parameters
+// gathered across steps, and fetches of persistent parameters stay out of
+// the trace (they happen only once, so tracing them would invalidate the
+// trace on the second step).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -91,7 +99,7 @@ class StreamCoordinator {
     std::uint64_t broadcast_fp16_elems = 0;  ///< broadcast-baseline traffic
     std::uint64_t reduce_scatter_fp16_elems = 0;  ///< ParamCoordinator only
     // Accumulated only while metrics are enabled (obs/metrics.hpp): wall
-    // time inside fetch() gathers / reduce_and_store_grad().
+    // time inside fetch() gathers / gradient narrowing and reduction.
     double fetch_seconds = 0.0;
     double reduce_seconds = 0.0;
   };
@@ -129,16 +137,8 @@ class StreamCoordinator {
   void set_mode(Mode mode) { mode_ = mode; }
   Mode mode() const noexcept { return mode_; }
 
-  /// Open a weight-reuse window: post-forward releases are deferred until
-  /// end_reuse_window(), so consecutive forward passes (the batched request
-  /// streams of one decode step) share one gather per parameter. Windows do
-  /// not nest.
-  void begin_reuse_window();
-  /// Close the window: flush the deferred releases (persistence threshold
-  /// still applies), freeing this layer's weights before the next layer's.
-  void end_reuse_window();
-
-  /// Gather one parameter now (public for tests and for eager warm-up).
+  /// Gather one parameter now (public for tests and for eager warm-up). On
+  /// a replayed trace this gathers the whole bucket the parameter opens.
   void fetch(Parameter* p, bool for_backward);
   /// Re-partition one parameter (frees its full tensor). Parameters under
   /// the persistence threshold are kept gathered unless `force` is set.
@@ -175,7 +175,14 @@ class StreamCoordinator {
   /// training subclass materializes the fp32 gradient buffer here.
   virtual void ensure_grad_buffer(Parameter* p) { (void)p; }
 
+  /// begin_iteration() calls this: the training subclass drops gradients
+  /// an interrupted backward left queued for reduction.
+  virtual void drop_queued_grads() {}
+
   void drop_prefetches();
+
+  /// Buckets are cut before every matrix (2-D parameter).
+  static bool is_matrix(const Parameter* p) { return p->shape().size() > 1; }
 
   ModelStateStore& store_;
   RankResources& res_;
@@ -193,30 +200,59 @@ class StreamCoordinator {
   std::function<void(const DataMovementEvent&)> observer_;
 
  private:
-  // Prefetch staging comes from DataMover::stage(): a pinned-pool lease
-  // when one fits and is free (the infinity offload engine reads into
-  // pinned memory, Sec. 6.3), heap otherwise. The slot owns the staging
-  // lease and the in-flight handle; destroying it (consume or drop)
-  // returns the lease — exception paths can never strand a pinned buffer.
+  // Prefetch staging comes from DataMover::stage(): one lease per bucket, a
+  // pinned-pool lease when one fits and is free (the infinity offload
+  // engine reads into pinned memory, Sec. 6.3), heap otherwise. The lease
+  // holds the members' shards back to back and is the allgather's send
+  // buffer. The slot owns the lease and the members' in-flight handles;
+  // destroying it (consume or drop) returns the lease — exception paths can
+  // never strand a pinned buffer.
   struct PrefetchSlot {
     StagingLease staging;
-    TransferHandle handle;
+    std::vector<TransferHandle> handles;  // one per member
     std::span<half> view;  // staging.bytes() reinterpreted as half
   };
 
+  // A gathered parameter's arena block, shared by its bucket's members.
+  using SharedBlock = std::shared_ptr<ArenaBlock>;
+  // A member's view into its bucket's block, waiting for its own fetch.
+  struct BucketView {
+    SharedBlock block;
+    std::size_t offset = 0;  // bytes
+  };
+
   static void intercept_access(void* ctx, Parameter* p);
-  /// Consume the in-flight prefetch for param `id`, if any: the map entry
-  /// is erased BEFORE waiting, so a wait() failure (RetriesExhaustedError)
-  /// destroys the slot — releasing its pinned lease — instead of leaking a
-  /// poisoned entry. Counts the hit or (on throw) the drop.
-  std::optional<PrefetchSlot> take_prefetch(int id);
+  /// fetch(), with `bucket` false when the parameter must be gathered
+  /// alone even where it opens a bucket (the access interceptor).
+  void fetch(Parameter* p, bool for_backward, bool bucket);
+  /// Gather `members` into one arena block with one collective, from the
+  /// prefetched shards in `staged` when there are any, and leave each
+  /// member's view in bucket_views_.
+  void gather(std::span<Parameter* const> members,
+              std::optional<PrefetchSlot> staged);
+  /// Consume the in-flight prefetch of the bucket at trace position `pos`,
+  /// if any: the map entry is erased BEFORE waiting, so a wait() failure
+  /// (RetriesExhaustedError) destroys the slot — releasing its pinned lease
+  /// — instead of leaking a poisoned entry. Counts the hit or (on throw)
+  /// the drop.
+  std::optional<PrefetchSlot> take_prefetch(std::size_t pos);
   void advance_trace(int param_id);
+  /// Cut the replayed trace into buckets (bucket_end_).
+  void cut_buckets();
   void issue_prefetches();
+  /// Stage the shards of the bucket [pos, end) of the trace.
+  void prefetch_bucket(std::size_t pos, std::size_t end);
+  /// Elements this rank loads for `p`: its shard, or in broadcast mode the
+  /// whole parameter.
+  std::size_t staged_elems(const Parameter* p) const;
   /// True when this fetch participates in the operator-sequence trace. In
   /// serving mode, persistent parameters are excluded: they are gathered
   /// once and then stay resident, so later steps would never replay their
   /// trace entries.
   bool traced_fetch(const Parameter* p) const;
+  bool persistent(const Parameter* p) const {
+    return p->numel() <= config_.persistence_threshold_elems;
+  }
 
   Mode mode_ = Mode::kTraining;
 
@@ -225,17 +261,20 @@ class StreamCoordinator {
   std::size_t cursor_ = 0;
   bool recording_ = true;
   bool eval_mode_ = false;
+  // While the trace replays: bucket_end_[i] is one past the last member of
+  // the bucket that starts at position i, and 0 where no bucket starts.
+  std::vector<std::size_t> bucket_end_;
 
-  // Reuse window: deferred post-forward releases, in first-deferral order
-  // (determinism: every rank flushes in the same order).
-  bool reuse_window_ = false;
-  std::vector<int> deferred_releases_;
+  // In-flight prefetches, by the trace position of their bucket.
+  std::unordered_map<std::size_t, PrefetchSlot> prefetch_;
 
-  std::unordered_map<int, PrefetchSlot> prefetch_;
-
-  // Arena blocks backing gathered params: padded_numel fp16 values each,
-  // viewed directly as the parameter's compute tensor.
-  std::unordered_map<int, ArenaBlock> gathered_;
+  // Views gathered with their bucket and not yet fetched, by param id.
+  std::unordered_map<int, BucketView> bucket_views_;
+  // Blocks backing gathered params, by param id: padded_numel fp16 values
+  // from the view's start, read directly as the parameter's compute tensor.
+  std::unordered_map<int, SharedBlock> gathered_;
+  // Send buffer of a bucket gathered without a prefetch (reused).
+  std::vector<half> gather_send_;
 };
 
 }  // namespace zi

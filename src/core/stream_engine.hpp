@@ -12,9 +12,9 @@
 // across calls because serving keeps the per-step fetch sequence stable)
 // and returns next-token logits.
 //
-// The serving engine (src/serve) builds on this class, driving the
-// coordinator's reuse windows directly so many concurrent request streams
-// share each layer's gather.
+// The serving engine (src/serve) builds on this class, stacking many
+// concurrent request streams into each model call so they share each
+// layer's gather.
 #pragma once
 
 #include <cstdint>

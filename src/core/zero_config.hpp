@@ -50,8 +50,8 @@ struct EngineConfig {
   /// accelerator memory, kCpu/kNvme move them through the offload engine.
   Placement activation_placement = Placement::kGpu;
 
-  /// Parameters prefetched ahead of the consuming operator (Sec. 6.2's
-  /// dynamic prefetcher). 0 disables prefetching.
+  /// Buckets of the replayed trace prefetched ahead of the consuming
+  /// operator (Sec. 6.2's dynamic prefetcher). 0 disables prefetching.
   int prefetch_depth = 2;
   /// Parameters with at most this many elements stay gathered for the rest
   /// of the iteration once fetched (they are re-partitioned only at the end

@@ -31,6 +31,9 @@ namespace zi {
 
 class DeviceArena;
 
+/// Default allocation grain: every block starts and ends on it.
+inline constexpr std::uint64_t kArenaGrain = 256;
+
 /// A block allocated from a DeviceArena. Movable RAII handle; returns the
 /// block to the arena on destruction.
 class ArenaBlock {
@@ -88,7 +91,8 @@ class DeviceArena {
 
   /// Allocate `bytes` (rounded up to `alignment`). First-fit over the free
   /// list. Throws OutOfMemoryError on capacity or contiguity failure.
-  ArenaBlock allocate(std::uint64_t bytes, std::uint64_t alignment = 256)
+  ArenaBlock allocate(std::uint64_t bytes,
+                      std::uint64_t alignment = kArenaGrain)
       ZI_EXCLUDES(mutex_);
 
   /// Split the entire free space into chunks of at most `chunk_bytes` so

@@ -1,6 +1,7 @@
 #include "model/local_store.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/half.hpp"
@@ -14,10 +15,9 @@ LocalParamStore::LocalParamStore(Module& root) {
     // fp16 storage holds the rounded initial values — the same rounding a
     // partitioned shard would store.
     Tensor h(p->shape(), DType::kF16);
-    half* hp = h.data<half>();
-    for (std::int64_t i = 0; i < p->numel(); ++i) {
-      hp[i] = half(p->init_value(i));
-    }
+    std::vector<float> values(static_cast<std::size_t>(p->numel()));
+    p->init_values(0, values);
+    floats_to_halves(values, h.span<half>());
     p->full_tensor() = std::move(h);
     p->grad_tensor() = Tensor(p->shape(), DType::kF32);
     p->set_status(Parameter::Status::kAvailable);

@@ -1,5 +1,7 @@
 #include "model/parameter.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -53,6 +55,21 @@ float Parameter::init_value(std::int64_t index) const {
     }
   }
   return 0.0f;
+}
+
+void Parameter::init_values(std::int64_t first, std::span<float> out) const {
+  switch (init_) {
+    case InitKind::kZero:
+      std::fill(out.begin(), out.end(), 0.0f);
+      return;
+    case InitKind::kOne:
+      std::fill(out.begin(), out.end(), 1.0f);
+      return;
+    case InitKind::kNormal:
+      Rng(kInitSeed, init_stream_)
+          .normals_at(static_cast<std::uint64_t>(first), init_scale_, out);
+      return;
+  }
 }
 
 const half* Parameter::data() const {

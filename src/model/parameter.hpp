@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,8 @@ class Parameter {
   /// The deterministic initial value of element `index` (fp32, before fp16
   /// storage rounding). Pure function — identical on every rank.
   float init_value(std::int64_t index) const;
+  /// out[j] = init_value(first + j), drawing the whole span in one call.
+  void init_values(std::int64_t first, std::span<float> out) const;
 
   /// Full fp16 tensor for compute; the kernels widen it as they read it.
   /// Populated by the coordinator (or a LocalParamStore); accessing it

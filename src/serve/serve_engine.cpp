@@ -215,19 +215,15 @@ void ServeEngine::step_model(const std::vector<ServeRequest>& requests) {
     }
   }
 
-  // Each phase is one stacked model call inside one reuse window, so its
-  // weights are gathered (and widened) once per step.
-  coord.begin_reuse_window();
+  // Each phase is one stacked model call, so its weights are gathered (and
+  // widened) once per step.
   Tensor x = model_.embed_rows(tokens, segments);
-  coord.end_reuse_window();
 
   // Layer phase: LayerNorms, projections, MLP and residuals run once over
   // the stack; attention pages each slot's KV cache in slot order.
   for (std::int64_t l = 0; l < model_.num_decode_layers(); ++l) {
     SlotKv kv(kv_, l, slots, segments);
-    coord.begin_reuse_window();
     x = model_.decode_layer(l, x, segments, kv);
-    coord.end_reuse_window();
   }
 
   // Head phase: final layernorm + LM head over each slot's last row only,
@@ -241,9 +237,7 @@ void ServeEngine::step_model(const std::vector<ServeRequest>& requests) {
     std::copy_n(x.data<float>() + (end - 1) * hidden, hidden,
                 last.data<float>() + static_cast<std::int64_t>(s) * hidden);
   }
-  coord.begin_reuse_window();
   const Tensor logits = model_.lm_logits(last);
-  coord.end_reuse_window();
   for (std::size_t s = 0; s < segments.size(); ++s) {
     Slot& slot = slots_[static_cast<std::size_t>(slots[s])];
     const std::int32_t tok =

@@ -20,9 +20,9 @@
 //
 // Prefill and decode rows of every active slot are stacked, in slot order,
 // into one matrix, so each phase (embedding, every layer, LM head) is one
-// model call inside one coordinator reuse window: LayerNorms, projections,
-// the MLP and the residuals run once per step over all rows, and only
-// attention runs per slot, paging that slot's KV cache in and out. Each
+// model call: LayerNorms, projections, the MLP and the residuals run once
+// per step over all rows, and only attention runs per slot, paging that
+// slot's KV cache in and out. Each
 // parameter is therefore gathered, and widened by the kernels, exactly
 // once per decode step no matter how many requests are in flight, and the
 // traced prefetcher sees the same fetch sequence every step. The head

@@ -3,6 +3,7 @@
 // tiling (numerics + the Fig. 6b capacity protocol).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 
 #include "common/rng.hpp"
@@ -14,6 +15,7 @@
 #include "core/zero_config.hpp"
 #include "model/gpt.hpp"
 #include "model/local_store.hpp"
+#include "model/mlp_net.hpp"
 
 namespace zi {
 namespace {
@@ -246,6 +248,49 @@ TEST_F(CoreTest, StateStoreInitMatchesPerElementInitValue) {
           ASSERT_EQ(shard[k].bits(), want.bits())
               << p->name() << " rank " << rank << " i " << i;
           ASSERT_EQ(master[k], want.to_float())
+              << p->name() << " rank " << rank << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+// Parameter::init_values draws a whole span with the stream key mixed once;
+// every value must equal the per-element init_value, and every fp16 shard
+// init_shard_fp16 builds from it must equal the per-element rounding, for
+// every parameter of the test GPT and MLP, uniform and weighted, at world 3
+// (so no parameter divides evenly).
+TEST_F(CoreTest, BulkInitValuesMatchPerElementInitValue) {
+  GptConfig gc;
+  gc.vocab = 32;
+  gc.seq = 8;
+  gc.hidden = 16;
+  gc.layers = 2;
+  gc.heads = 2;
+  Gpt gpt(gc);
+  MlpClassifier mlp(MlpNetConfig{});
+  std::vector<Parameter*> params = gpt.all_parameters();
+  for (Parameter* p : mlp.all_parameters()) params.push_back(p);
+  constexpr int kWorld = 3;
+  for (const Parameter* p : params) {
+    std::vector<float> all(static_cast<std::size_t>(p->numel()));
+    p->init_values(0, all);
+    for (std::int64_t i = 0; i < p->numel(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(all[static_cast<std::size_t>(i)]),
+                std::bit_cast<std::uint32_t>(p->init_value(i)))
+          << p->name() << " i " << i;
+    }
+    for (const RankWeights& weights :
+         {RankWeights{}, RankWeights{1.0, 2.0, 4.0}}) {
+      const ShardSpec spec = make_shard_spec(p->numel(), kWorld, weights);
+      for (int rank = 0; rank < kWorld; ++rank) {
+        std::vector<half> shard(static_cast<std::size_t>(spec.shard_elems));
+        init_shard_fp16(*p, spec, rank, shard);
+        for (std::int64_t i = 0; i < spec.shard_elems; ++i) {
+          const half want = i < spec.valid_elems(rank)
+                                ? half(p->init_value(spec.begin(rank) + i))
+                                : half(0.0f);
+          ASSERT_EQ(shard[static_cast<std::size_t>(i)].bits(), want.bits())
               << p->name() << " rank " << rank << " i " << i;
         }
       }

@@ -312,24 +312,28 @@ TEST_F(FaultInjectionTest, FailedPrefetchReleasesSlotAndRecovers) {
     ParamCoordinator coord(store, res, comm, cfg);
     const std::size_t pinned_total = res.pinned().num_buffers();
 
-    // Iteration 1 records the trace [a.w, a.b, b.w, b.b].
+    // Iteration 1 records the trace [a.w, a.b, b.w, b.b], which replays as
+    // the buckets [a.w, a.b] and [b.w, b.b].
     coord.begin_iteration();
     for (Parameter* p : params) {
       coord.fetch(p, false);
       coord.release(p);
     }
 
-    // Iteration 2 replays it. The first read (a.w's synchronous shard
-    // load) passes; every later read — the two async prefetches issued
-    // behind it — fails persistently, so their statuses end in error.
+    // Iteration 2 replays it. The first two reads (the synchronous shard
+    // loads of a's bucket) pass; every later read — the prefetch of b's
+    // bucket issued behind them — fails persistently, so its statuses end
+    // in error.
     coord.begin_iteration();
-    FaultInjector::instance().configure("aio_read:error,after=1");
+    FaultInjector::instance().configure("aio_read:error,after=2");
     coord.fetch(params[0], false);
+    coord.fetch(params[1], false);
     coord.release(params[0]);
-    EXPECT_EQ(coord.stats().prefetches_issued, 2u);
+    coord.release(params[1]);
+    EXPECT_EQ(coord.stats().prefetches_issued, 1u);
 
     // Consuming the poisoned prefetch surfaces the typed error...
-    EXPECT_THROW(coord.fetch(params[1], false), RetriesExhaustedError);
+    EXPECT_THROW(coord.fetch(params[2], false), RetriesExhaustedError);
     // ...but the slot was consumed: counted as a drop, not left in flight.
     EXPECT_EQ(coord.stats().prefetch_drops, 1u);
     EXPECT_EQ(coord.stats().prefetch_hits, 0u);
@@ -337,13 +341,13 @@ TEST_F(FaultInjectionTest, FailedPrefetchReleasesSlotAndRecovers) {
     // With the fault gone the retry falls back to a clean synchronous
     // load (pre-fix the leaked entry made this re-throw).
     FaultInjector::instance().clear();
-    coord.fetch(params[1], false);
-    EXPECT_EQ(params[1]->status(), Parameter::Status::kAvailable);
-    for (std::int64_t i = 0; i < params[1]->numel(); ++i) {
-      EXPECT_EQ(params[1]->full_tensor().get(i),
-                half(params[1]->init_value(i)).to_float());
+    coord.fetch(params[2], false);
+    EXPECT_EQ(params[2]->status(), Parameter::Status::kAvailable);
+    for (std::int64_t i = 0; i < params[2]->numel(); ++i) {
+      EXPECT_EQ(params[2]->full_tensor().get(i),
+                half(params[2]->init_value(i)).to_float());
     }
-    coord.release(params[1]);
+    coord.release(params[2]);
 
     // Accounting truth invariant with nothing left in flight, and every
     // pinned staging lease back in the pool.

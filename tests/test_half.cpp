@@ -11,12 +11,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/half.hpp"
 #include "common/kernel_tier.hpp"
 #include "common/rng.hpp"
 #include "kernel_tiers.hpp"
+#include "scalar_oracles.hpp"
 
 namespace zi {
 namespace {
@@ -331,6 +333,106 @@ TEST_P(HalfBulk, AllFiniteFindsEveryInfAndNan) {
     }
     EXPECT_TRUE(all_finite(h)) << n;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The rank-order sum ≡ its per-element loop, bit for bit, in every tier.
+
+using RankSum = KernelTierTest;
+ZI_KERNEL_TIERS(RankSum);
+
+// Terms that reach every case of the sum whose bits IEEE 754 fixes: ±0 (an
+// all −0.0 column must sum to +0.0), subnormals, values that overflow when
+// added, ±inf (inf − inf gives the default NaN) and NaNs with payloads and
+// either sign. A column holds at most one NaN, and then no infinity: which
+// of two NaN operands an add returns is not fixed, and the compiler may
+// order a commutative add's operands either way, in the kernel and in the
+// per-element loop alike.
+struct SpecialBits {
+  std::vector<std::uint32_t> plain, nans;
+};
+
+template <typename T>
+SpecialBits special_bits() {
+  if constexpr (std::is_same_v<T, half>) {
+    return {{0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x0400, 0x7BFF,
+             0xFBFF, 0x7C00, 0xFC00},
+            {0x7C01, 0xFC01, 0x7E00, 0xFE00, 0x7DFF, 0x7FFF, 0xFE01}};
+  } else {
+    return {{0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF,
+             0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000},
+            {0x7F800001, 0xFF800001, 0x7FC00000, 0xFFC00000, 0x7FA00005,
+             0xFFBFFFFF}};
+  }
+}
+
+template <typename T>
+T term_of(std::uint32_t bits) {
+  if constexpr (std::is_same_v<T, half>) {
+    return half::from_bits(static_cast<std::uint16_t>(bits));
+  } else {
+    return float_of(bits);
+  }
+}
+
+template <typename T>
+std::uint32_t term_bits(T v) {
+  if constexpr (std::is_same_v<T, half>) {
+    return v.bits();
+  } else {
+    return bits_of(v);
+  }
+}
+
+// 1–8 ranks; every length 0–55, so every tail 0–7 after zero to six full
+// eight-element groups; a start offset that leaves the terms unaligned.
+// Each column is all −0.0, special terms, one NaN among ordinary values, or
+// ordinary values.
+template <typename T>
+void check_rank_sum() {
+  const SpecialBits special = special_bits<T>();
+  Rng rng(11, sizeof(T));
+  auto pick = [&](const std::vector<std::uint32_t>& from) {
+    return term_of<T>(from[rng.next_below(from.size())]);
+  };
+  for (std::size_t ranks = 1; ranks <= 8; ++ranks) {
+    for (std::size_t n = 0; n < 56; ++n) {
+      const std::size_t offset = 1 + n % 5;
+      std::vector<std::vector<T>> peers(ranks,
+                                        std::vector<T>(offset + n, T(0.0f)));
+      for (std::size_t i = offset; i < offset + n; ++i) {
+        const std::uint64_t kind = rng.next_below(4);
+        const std::uint64_t nan_rank = rng.next_below(ranks);
+        for (std::size_t r = 0; r < ranks; ++r) {
+          T& term = peers[r][i];
+          if (kind == 0) {
+            term = T(-0.0f);
+          } else if (kind == 1) {
+            term = pick(special.plain);
+          } else if (kind == 2 && r == nan_rank) {
+            term = pick(special.nans);
+          } else {
+            term = T(static_cast<float>(rng.next_normal() * 4.0));
+          }
+        }
+      }
+      std::vector<const T*> srcs;
+      for (const auto& peer : peers) srcs.push_back(peer.data());
+      std::vector<T> got(n);
+      sum_over_ranks(srcs, offset, std::span<T>(got));
+      const std::vector<T> want = oracle::rank_order_sum(peers, offset, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(term_bits(got[i]), term_bits(want[i]))
+            << ranks << " ranks, " << n << " elements, element " << i;
+      }
+    }
+  }
+}
+
+TEST_P(RankSum, HalvesBitIdenticalToPerElementLoop) { check_rank_sum<half>(); }
+
+TEST_P(RankSum, FloatsBitIdenticalToPerElementLoop) {
+  check_rank_sum<float>();
 }
 
 TEST(Bf16, Basics) {

@@ -215,14 +215,14 @@ std::vector<half> reduction_inputs(int rank, std::size_t n) {
 }
 
 // The fp16 reduce-scatter and allreduce against the per-element rank-order
-// loop, on message sizes around the kernel's scratch-block edge.
+// loop, on message sizes across whole and partial eight-element groups.
 TEST_P(TransportConformance, HalfReductionsMatchPerElementOracle) {
   for (const int world : {2, 3, 4}) {
     const WorldReport wr =
         run_world_guarded(world, opts(), [](Communicator& comm) {
           const int n = comm.size();
           const auto un = static_cast<std::size_t>(n);
-          constexpr std::size_t kB = detail::kReduceBlockElems;
+          constexpr std::size_t kB = 2048;
           for (const std::size_t chunk :
                {std::size_t{1}, std::size_t{7}, kB - 1, kB, kB + 1,
                 2 * kB + 5}) {
@@ -255,6 +255,91 @@ TEST_P(TransportConformance, HalfReductionsMatchPerElementOracle) {
         });
     EXPECT_TRUE(wr.ok) << "world " << world << ": "
                        << (wr.errors.empty() ? "?" : wr.errors.front());
+  }
+}
+
+// A segmented collective returns the bits of one one-segment call per
+// segment: unequal segments, a 1-element one, and one past a 2048 edge.
+TEST_P(TransportConformance, SegmentedCollectivesMatchOneSegmentCalls) {
+  for (const int world : {2, 3}) {
+    const WorldReport wr =
+        run_world_guarded(world, opts(), [](Communicator& comm) {
+          const auto n = static_cast<std::size_t>(comm.size());
+          const std::vector<std::size_t> pieces = {5, 1, 300, 2049};
+
+          // Allgather: this rank's pieces back to back.
+          std::vector<half> send;
+          std::vector<std::vector<half>> gathered, want;
+          for (std::size_t s = 0; s < pieces.size(); ++s) {
+            const std::vector<half> piece =
+                reduction_inputs(comm.rank() + static_cast<int>(s), pieces[s]);
+            send.insert(send.end(), piece.begin(), piece.end());
+            gathered.emplace_back(pieces[s] * n);
+            want.emplace_back(pieces[s] * n);
+            comm.allgather<half>(piece, want.back());
+          }
+          std::vector<std::span<half>> recv(gathered.begin(), gathered.end());
+          comm.allgather<half>(send, recv);
+          for (std::size_t s = 0; s < pieces.size(); ++s) {
+            for (std::size_t i = 0; i < gathered[s].size(); ++i) {
+              RANK_REQUIRE(gathered[s][i].bits() == want[s][i].bits());
+            }
+          }
+
+          // Reduce-scatter: one full buffer per segment, back to back.
+          std::vector<half> full;
+          std::vector<std::vector<half>> shards, want_shards;
+          for (std::size_t s = 0; s < pieces.size(); ++s) {
+            const std::vector<half> buf = reduction_inputs(
+                comm.rank() + 7 * static_cast<int>(s), pieces[s] * n);
+            full.insert(full.end(), buf.begin(), buf.end());
+            shards.emplace_back(pieces[s]);
+            want_shards.emplace_back(pieces[s]);
+            comm.reduce_scatter_sum<half>(buf, want_shards.back());
+          }
+          std::vector<std::span<half>> out(shards.begin(), shards.end());
+          comm.reduce_scatter_sum<half>(full, out);
+          for (std::size_t s = 0; s < pieces.size(); ++s) {
+            for (std::size_t i = 0; i < pieces[s]; ++i) {
+              RANK_REQUIRE(shards[s][i].bits() == want_shards[s][i].bits());
+            }
+          }
+        });
+    EXPECT_TRUE(wr.ok) << "world " << world << ": "
+                       << (wr.errors.empty() ? "?" : wr.errors.front());
+  }
+}
+
+// Segment lists that disagree across ranks give unequal contributions,
+// which throw on every rank.
+TEST_P(TransportConformance, SegmentedCollectivesRejectUnequalSendSizes) {
+  for (const bool gather : {true, false}) {
+    const WorldReport wr =
+        run_world_guarded(2, opts(), [gather](Communicator& comm) {
+          const std::vector<std::size_t> pieces =
+              comm.rank() == 0 ? std::vector<std::size_t>{4, 3}
+                               : std::vector<std::size_t>{3, 3};
+          std::vector<std::vector<half>> bufs;
+          std::size_t send_elems = 0;
+          for (const std::size_t p : pieces) {
+            bufs.emplace_back(gather ? 2 * p : p);
+            send_elems += gather ? p : 2 * p;
+          }
+          std::vector<std::span<half>> segs(bufs.begin(), bufs.end());
+          const std::vector<half> send(send_elems, half(1.0f));
+          if (gather) {
+            comm.allgather<half>(send, segs);
+          } else {
+            comm.reduce_scatter_sum<half>(send, segs);
+          }
+        });
+    EXPECT_FALSE(wr.ok);
+    ASSERT_EQ(wr.failed_ranks.size(), 2u);
+    const std::string want = gather ? "allgather: unequal send sizes"
+                                    : "reduce_scatter: unequal send sizes";
+    for (const std::string& e : wr.errors) {
+      EXPECT_NE(e.find(want), std::string::npos) << e;
+    }
   }
 }
 
