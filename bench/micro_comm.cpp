@@ -119,16 +119,46 @@ void BM_BlockAllgather(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockAllgather)->Arg(0)->Arg(1)->MinTime(0.2);
 
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    run_ranks(ranks, [&](Communicator& comm) {
-      for (int i = 0; i < 64; ++i) comm.barrier();
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+// One world per benchmark run, so the time is the collective's and not the
+// rank threads' start-up: rank 0 drives the timed loop, the other ranks run
+// the same max_iterations collectives, and one untimed barrier lines the
+// ranks up first. Time is wall time per collective.
+template <typename Op>
+void run_collective_loop(benchmark::State& state, int ranks, Op op) {
+  run_ranks(ranks, [&](Communicator& comm) {
+    comm.barrier();
+    if (comm.rank() == 0) {
+      for (auto _ : state) op(comm);
+      return;
+    }
+    for (benchmark::IterationCount i = 0; i < state.max_iterations; ++i) {
+      op(comm);
+    }
+  });
 }
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8)->MinTime(0.05);
+
+void BM_Barrier(benchmark::State& state) {
+  run_collective_loop(state, static_cast<int>(state.range(0)),
+                      [](Communicator& comm) { comm.barrier(); });
+}
+BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()->MinTime(0.2);
+
+// The small allgather of a serving decode step: 3 KB (1,536 halves) from
+// each rank.
+void BM_Allgather3K(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  constexpr std::size_t kElems = 1536;
+  std::vector<std::vector<half>> send(static_cast<std::size_t>(ranks),
+                                      std::vector<half>(kElems, half(1.0f)));
+  std::vector<std::vector<half>> recv(
+      static_cast<std::size_t>(ranks),
+      std::vector<half>(kElems * static_cast<std::size_t>(ranks)));
+  run_collective_loop(state, ranks, [&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    comm.allgather<half>(send[r], recv[r]);
+  });
+}
+BENCHMARK(BM_Allgather3K)->Arg(2)->Arg(4)->UseRealTime()->MinTime(0.2);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 
 #include "comm/clock_util.hpp"
 
@@ -15,31 +16,65 @@ AbortableBarrier::AbortableBarrier(int num_ranks, WorldHealth* health,
     : num_ranks_(num_ranks),
       health_(health),
       global_ranks_(global_ranks),
+      spin_(static_cast<unsigned>(num_ranks) <=
+            std::thread::hardware_concurrency()),
       arrived_round_(static_cast<std::size_t>(num_ranks), 0) {}
+
+namespace {
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
 
 WaitOutcome AbortableBarrier::arrive_and_wait(int member, int global_rank,
                                               double timeout_ms, bool ticked,
                                               int* suspect_global,
-                                              std::uint64_t* epoch_out) {
+                                              std::uint64_t* epoch_out,
+                                              bool* last_out) {
+  if (last_out != nullptr) *last_out = false;
   UniqueLock lock(mutex_);
-  if (epoch_out != nullptr) *epoch_out = epoch_;
+  const std::uint64_t round = released_.load(std::memory_order_relaxed);
+  if (epoch_out != nullptr) *epoch_out = round;
   // Covers both a poisoned barrier and a subgroup created after the poison
   // traversal already swept the tree (its own flag never got set).
-  if (poisoned_ || (health_ != nullptr && health_->poisoned())) {
+  if (poisoned_.load(std::memory_order_relaxed) ||
+      (health_ != nullptr && health_->poisoned())) {
     return WaitOutcome::kPoisoned;
   }
-  const std::uint64_t round = epoch_;
   arrived_round_[static_cast<std::size_t>(member)] = round + 1;
   if (++arrived_ == num_ranks_) {
     arrived_ = 0;
-    ++epoch_;
-    cv_.notify_all();
+    // Every arrival's writes happen-before this store (each went through
+    // mutex_), and a waiter's acquire load of it orders its reads after.
+    released_.store(round + 1, std::memory_order_release);
+    if (parked_ > 0) cv_.notify_all();
+    if (last_out != nullptr) *last_out = true;
     return WaitOutcome::kOk;
   }
+  const CommClock::time_point start = CommClock::now();
+  if (spin_) {
+    lock.unlock();
+    const CommClock::time_point spin_end = start + kSpinBudget;
+    do {
+      if (released_.load(std::memory_order_acquire) != round) {
+        return WaitOutcome::kOk;
+      }
+      if (poisoned_.load(std::memory_order_acquire)) break;
+      cpu_relax();
+    } while (CommClock::now() < spin_end);
+    lock.lock();
+  }
   const CommClock::time_point deadline =
-      timeout_ms > 0.0 ? CommClock::now() + comm_ms_to_duration(timeout_ms)
+      timeout_ms > 0.0 ? start + comm_ms_to_duration(timeout_ms)
                        : CommClock::time_point::max();
-  while (epoch_ == round && !poisoned_) {
+  ++parked_;
+  ++parks_;
+  while (released_.load(std::memory_order_relaxed) == round &&
+         !poisoned_.load(std::memory_order_relaxed)) {
     if (!ticked) {
       cv_.wait(lock);
       continue;
@@ -66,26 +101,34 @@ WaitOutcome AbortableBarrier::arrive_and_wait(int member, int global_rank,
         }
       }
       if (suspect_global != nullptr) *suspect_global = suspect;
+      --parked_;
       return WaitOutcome::kTimeout;
     }
     const CommClock::duration slice =
         std::min<CommClock::duration>(kWaitSlice, deadline - now);
     cv_.wait_for(lock, slice);
   }
-  return epoch_ != round ? WaitOutcome::kOk : WaitOutcome::kPoisoned;
+  --parked_;
+  return released_.load(std::memory_order_relaxed) != round
+             ? WaitOutcome::kOk
+             : WaitOutcome::kPoisoned;
 }
 
 void AbortableBarrier::poison() {
   {
     LockGuard lock(mutex_);
-    poisoned_ = true;
+    poisoned_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
 }
 
 std::uint64_t AbortableBarrier::epoch() const {
+  return released_.load(std::memory_order_acquire);
+}
+
+std::uint64_t AbortableBarrier::parks() const {
   LockGuard lock(mutex_);
-  return epoch_;
+  return parks_;
 }
 
 // ---------------------------------------------------------------------------
@@ -158,11 +201,10 @@ void InprocTransport::publish(const void* data, std::size_t bytes,
 }
 
 WaitOutcome InprocTransport::sync(int* suspect_global,
-                                  std::uint64_t* epoch_out) {
-  return shared_->sync.arrive_and_wait(member_, global_,
-                                       shared_->options.timeout_ms,
-                                       shared_->ticked_waits(), suspect_global,
-                                       epoch_out);
+                                  std::uint64_t* epoch_out, bool* last_out) {
+  return shared_->sync.arrive_and_wait(
+      member_, global_, shared_->options.timeout_ms, shared_->ticked_waits(),
+      suspect_global, epoch_out, last_out);
 }
 
 WaitOutcome InprocTransport::p2p_send(int to_member, P2pMessage msg) {

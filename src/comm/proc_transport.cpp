@@ -40,7 +40,7 @@ namespace {
 
 enum FrameType : std::uint32_t {
   kArrive = 1,   // child->hub: barrier arrival      (group, m=member)
-  kRelease,      // hub->child: barrier completed
+  kRelease,      // hub->child: barrier completed    (a=1 to the last arrival)
   kSend,         // child->hub: p2p send             (a=to member, b=tag)
   kSendOk,       // hub->child: send accepted        (a=1 if it had to block)
   kRecv,         // child->hub: p2p receive          (a=from member)
@@ -294,8 +294,10 @@ class ProcChildTransport final : public Transport {
     hdr->count.store(count, std::memory_order_release);
   }
 
-  WaitOutcome sync(int* suspect_global, std::uint64_t* epoch_out) override {
+  WaitOutcome sync(int* suspect_global, std::uint64_t* epoch_out,
+                   bool* last_out) override {
     if (epoch_out != nullptr) *epoch_out = epoch_;
+    if (last_out != nullptr) *last_out = false;
     Frame f;
     f.type = kArrive;
     f.group = group_;
@@ -303,6 +305,7 @@ class ProcChildTransport final : public Transport {
     const Frame reply = child_request(*core_, f, nullptr, nullptr);
     if (reply.type == kRelease) {
       ++epoch_;
+      if (last_out != nullptr) *last_out = reply.a != 0;
       return WaitOutcome::kOk;
     }
     if (reply.type == kTimeoutd) {
@@ -680,6 +683,7 @@ void hub_handle_frame(Hub& hub, int global, const Frame& f,
           hub_reply(hub, waiter_global, r);
         }
         g.waiting.clear();
+        r.a = 1;  // the arrival that released the round
         hub_reply(hub, global, r);
       } else {
         g.waiting.push_back(f.m);

@@ -382,10 +382,21 @@ void Communicator::sync_point(const char* op) {
   auto& t = *transport_;
   int suspect = -1;
   std::uint64_t epoch = 0;
+  bool last = false;
+  // comm/wait splits a collective's comm time into waiting (this span) and
+  // copying or reducing (the rest of the collective's span); "last" marks
+  // the arrival that released the round, which waited for no one.
+  const bool traced = Tracer::enabled();
+  const std::uint64_t trace_t0 = traced ? Tracer::now_ns() : 0;
   const CommClock::time_point wait_t0 = CommClock::now();
-  const detail::WaitOutcome res = t.sync(&suspect, &epoch);
+  const detail::WaitOutcome res = t.sync(&suspect, &epoch, &last);
   sync_wait_seconds_ +=
       std::chrono::duration<double>(CommClock::now() - wait_t0).count();
+  if (traced) {
+    Tracer::instance().record_complete("comm", "wait", trace_t0,
+                                       Tracer::now_ns() - trace_t0,
+                                       last ? "\"last\":1" : "");
+  }
   if (res == detail::WaitOutcome::kOk) return;
   if (res == detail::WaitOutcome::kTimeout) {
     std::ostringstream os;

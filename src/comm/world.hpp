@@ -341,7 +341,10 @@ class Transport {
   // --- collective data plane --------------------------------------------
   virtual void publish(const void* data, std::size_t bytes,
                        std::size_t count) = 0;
-  virtual WaitOutcome sync(int* suspect_global, std::uint64_t* epoch_out) = 0;
+  /// Arrive at the group's barrier and wait for every member. `last_out`
+  /// is set to whether this rank's arrival released the round.
+  virtual WaitOutcome sync(int* suspect_global, std::uint64_t* epoch_out,
+                           bool* last_out) = 0;
   virtual std::uint64_t epoch() const = 0;
   virtual const void* peer_data(int member) const = 0;
   virtual std::size_t peer_count(int member) const = 0;

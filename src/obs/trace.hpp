@@ -18,7 +18,8 @@
 //   engine  step, fwd, bwd, opt        (ZeroEngine::train_step phases)
 //   coord   gather:<p>, reduce:<p>, prefetch:<p>   (ParamCoordinator)
 //   comm    allgather, reduce_scatter, broadcast, allreduce, gather,
-//           barrier                    (Communicator collectives)
+//           barrier, wait              (Communicator collectives; wait is
+//                                      one barrier round inside them)
 //   aio     read, write, retry         (AioEngine sub-requests)
 //   move    gpu>host, host>gpu, cpu>host, host>cpu, nvme>host, host>nvme
 //                                      (DataMover, one span per transfer)

@@ -18,6 +18,7 @@
 // the ctest timeout.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -25,6 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include "comm/clock_util.hpp"
+#include "comm/inproc_transport.hpp"
 #include "comm/world.hpp"
 #include "testing/fault_injector.hpp"
 
@@ -389,6 +392,45 @@ TEST_F(CommFailureTest, NewSiteNamesRoundTrip) {
   EXPECT_EQ(fault_site_from_name("collective_delay"),
             FaultSite::kCollectiveDelay);
   EXPECT_STREQ(fault_site_name(FaultSite::kRankStall), "rank_stall");
+}
+
+// A waiter that is still spinning when the barrier is poisoned must not
+// miss the poison and park until its next wait slice: it sees the flag in
+// the spin, or the park loop re-checks it under the mutex. Poison lands at
+// delays from inside the spin budget to well past it (parked).
+TEST_F(CommFailureTest, PoisonWhileAPeerSpinsReturnsWithinAWaitSlice) {
+  using detail::AbortableBarrier;
+  const std::chrono::microseconds delays[] = {
+      std::chrono::microseconds(0), AbortableBarrier::kSpinBudget / 5,
+      AbortableBarrier::kSpinBudget / 2, AbortableBarrier::kSpinBudget * 4};
+  for (const auto delay : delays) {
+    for (int trial = 0; trial < 20; ++trial) {
+      AbortableBarrier barrier(2, nullptr, nullptr);
+      std::atomic<bool> arriving{false};
+      std::atomic<std::int64_t> returned_ns{0};
+      detail::WaitOutcome outcome = detail::WaitOutcome::kOk;
+      std::thread waiter([&] {
+        arriving.store(true);
+        // Ticked, with a deadline far away: a missed poison shows up as a
+        // return only at the next kWaitSlice tick.
+        outcome = barrier.arrive_and_wait(0, 0, 30000.0, true, nullptr,
+                                          nullptr, nullptr);
+        returned_ns.store(detail::comm_now_ns());
+      });
+      while (!arriving.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(delay);
+      const std::int64_t poisoned_ns = detail::comm_now_ns();
+      barrier.poison();
+      waiter.join();
+      EXPECT_EQ(outcome, detail::WaitOutcome::kPoisoned) << delay.count();
+      const auto late = std::chrono::nanoseconds(returned_ns.load() -
+                                                 poisoned_ns);
+      EXPECT_LT(late, detail::kWaitSlice / 2)
+          << "poison " << delay.count() << " us after arrival took "
+          << std::chrono::duration<double, std::milli>(late).count()
+          << " ms to wake the waiter";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -171,6 +171,34 @@ TEST_F(ObsTest, RingWrapOverwritesOldestAndCountsDrops) {
   tracer.set_ring_capacity(1 << 16);
 }
 
+// Every barrier round inside a collective is a comm/wait span, and exactly
+// one member per round, the arrival that released it, carries "last":1.
+TEST_F(ObsTest, CollectiveWaitSpansMarkTheReleasingArrival) {
+  Tracer& tracer = Tracer::instance();
+  tracer.set_enabled(true);
+  constexpr int kRanks = 3;
+  run_ranks(kRanks, [](Communicator& comm) {
+    std::vector<float> send(4, static_cast<float>(comm.rank()));
+    std::vector<float> recv(4 * kRanks);
+    for (int i = 0; i < 5; ++i) comm.allgather<float>(send, recv);
+  });
+  tracer.set_enabled(false);
+  const std::string json = tracer.export_json();
+  EXPECT_TRUE(json_structurally_valid(json));
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t waits = count("\"name\":\"wait\"");
+  const std::size_t lasts = count("\"last\":1");
+  EXPECT_GE(lasts, 10u) << "two rounds per allgather";
+  EXPECT_EQ(waits, kRanks * lasts) << "one releasing arrival per round";
+}
+
 // The acceptance criterion: a 3-step ZeRO-3 + NVMe run with tracing on
 // yields a valid Chrome trace with spans from all four layers, one track
 // per rank thread plus the AIO pool threads.

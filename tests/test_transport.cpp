@@ -27,17 +27,20 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/inproc_transport.hpp"
 #include "comm/world.hpp"
 #include "core/ckpt_io.hpp"
 #include "core/elastic.hpp"
@@ -562,6 +565,74 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
                          ::testing::Values(TransportKind::kInproc,
                                            TransportKind::kProc),
                          param_name);
+
+// ---------------------------------------------------------------------------
+// The inproc barrier's spin-then-park wait under random skew.
+
+class InprocBarrierRounds : public ::testing::TestWithParam<int> {};
+
+// Each round a member runs a seeded busy delay of zero to twice the spin
+// budget, writes its slot and crosses the barrier; every member then checks
+// every slot and crosses again before the next write (the publish / read /
+// release shape of a collective). Skews past the spin budget park; shorter
+// ones, and the second crossing, return from the spin. A group larger than
+// the host's hardware threads never spins, so every wait parks.
+TEST_P(InprocBarrierRounds, RandomSkewCoversSpinAndPark) {
+  using detail::AbortableBarrier;
+  const int n = GetParam();
+  constexpr int kRounds = 10000;
+  AbortableBarrier barrier(n, nullptr, nullptr);
+  std::vector<int> slots(static_cast<std::size_t>(n), -1);
+  std::vector<int> bad(static_cast<std::size_t>(n), 0);
+  std::vector<int> lasts(static_cast<std::size_t>(n), 0);
+  std::vector<std::thread> threads;
+  for (int m = 0; m < n; ++m) {
+    threads.emplace_back([&, m] {
+      std::mt19937 rng(static_cast<std::uint32_t>(1000 + 7 * n + m));
+      std::uniform_int_distribution<int> delay_us(
+          0, 2 * static_cast<int>(AbortableBarrier::kSpinBudget.count()));
+      const auto cross = [&] {
+        bool last = false;
+        if (barrier.arrive_and_wait(m, m, 0.0, false, nullptr, nullptr,
+                                    &last) != detail::WaitOutcome::kOk) {
+          ++bad[static_cast<std::size_t>(m)];
+        }
+        lasts[static_cast<std::size_t>(m)] += last ? 1 : 0;
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(delay_us(rng));
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        slots[static_cast<std::size_t>(m)] = round;
+        cross();
+        for (int peer = 0; peer < n; ++peer) {
+          if (slots[static_cast<std::size_t>(peer)] != round) {
+            ++bad[static_cast<std::size_t>(m)];
+          }
+        }
+        cross();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int m = 0; m < n; ++m) EXPECT_EQ(bad[static_cast<std::size_t>(m)], 0);
+  EXPECT_EQ(barrier.epoch(), std::uint64_t{2} * kRounds);
+  int total_lasts = 0;
+  for (const int l : lasts) total_lasts += l;
+  EXPECT_EQ(total_lasts, 2 * kRounds) << "one releasing arrival per round";
+  const std::uint64_t waits =
+      std::uint64_t{2} * kRounds * static_cast<std::uint64_t>(n - 1);
+  if (static_cast<unsigned>(n) > std::thread::hardware_concurrency()) {
+    EXPECT_EQ(barrier.parks(), waits) << "oversubscribed groups never spin";
+  } else {
+    EXPECT_GT(barrier.parks(), 0u) << "no skew outlasted the spin budget";
+    EXPECT_LT(barrier.parks(), waits) << "no wait returned from the spin";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, InprocBarrierRounds,
+                         ::testing::Values(2, 3, 8));
 
 // ---------------------------------------------------------------------------
 // Cross-backend determinism: not just "both correct" — bit-identical.

@@ -191,6 +191,22 @@ TEST(ZilintRules, AffinityConfinement) {
   EXPECT_EQ(findings.size(), 2u) << "no other rule may fire in this tree";
 }
 
+TEST(ZilintRules, SpinConfinement) {
+  const auto findings = run_fixture("spin_confinement");
+  EXPECT_EQ(count_rule(findings, "spin-confinement"), 3)
+      << "bad.cpp seeds three: pause builtin, yield(), _mm_pause";
+  EXPECT_TRUE(has_finding(findings, "src/bad.cpp", "spin-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/comm/inproc_transport.cpp",
+                           "spin-confinement"))
+      << "the collective barrier holds the one bounded spin";
+  EXPECT_FALSE(has_finding(findings, "src/clean.cpp", "spin-confinement"));
+  EXPECT_FALSE(has_finding(findings, "src/suppressed.cpp", "spin-confinement"));
+  EXPECT_FALSE(
+      has_finding(findings, "tests/test_spinning.cpp", "spin-confinement"))
+      << "tests may spin to line threads up";
+  EXPECT_EQ(findings.size(), 3u) << "no other rule may fire in this tree";
+}
+
 // ---------------------------------------------------------------------------
 // Output formats
 

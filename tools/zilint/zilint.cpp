@@ -72,7 +72,7 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "raw-primitive",     "mutex-annotation", "fault-site-sync",
       "handle-discipline", "doc-drift",        "isa-confinement",
-      "affinity-confinement", "zilint-allow",
+      "affinity-confinement", "spin-confinement", "zilint-allow",
   };
   return kNames;
 }
@@ -101,6 +101,10 @@ const std::map<std::string, std::string>& rule_descriptions() {
       {"affinity-confinement",
        "thread-affinity call under src/ outside src/common/thread_pool.cpp, "
        "the one place that decides where threads run"},
+      {"spin-confinement",
+       "busy-wait primitive (__builtin_ia32_pause, _mm_pause, yield()) "
+       "under src/ outside src/comm/inproc_transport.cpp, whose barrier is "
+       "the one bounded spin"},
       {"zilint-allow", "zilint:allow naming an unknown rule"},
   };
   return kDescriptions;
@@ -984,6 +988,31 @@ void rule_affinity_confinement(const Project& p,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: spin-confinement
+
+// The collective barrier spins for a fixed budget before it parks
+// (comm/inproc_transport.cpp). Every other wait in src/ blocks: rank, AIO
+// and pool threads share a few CPUs, so a second spin loop would take
+// cycles from the thread it waits for.
+void rule_spin_confinement(const Project& p, std::vector<Finding>& findings) {
+  static const std::regex kSpin(
+      R"(\b(__builtin_ia32_pause|_mm_pause)\b|\b(yield)\s*\(\s*\))");
+  for (const auto& f : p.src) {
+    if (f.path == "src/comm/inproc_transport.cpp") continue;
+    for (std::size_t i = 0; i < f.code.size(); ++i) {
+      std::smatch m;
+      if (std::regex_search(f.code[i], m, kSpin)) {
+        findings.push_back(
+            {f.path, static_cast<int>(i + 1), "spin-confinement",
+             (m[1].matched ? m[1].str() : m[2].str() + "()") +
+                 " outside src/comm/inproc_transport.cpp, whose barrier "
+                 "holds the one bounded spin; block on a condvar instead"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1008,6 +1037,7 @@ std::vector<Finding> run_project(const Options& options) {
   rule_doc_drift(p, findings);
   rule_isa_confinement(p, findings);
   rule_affinity_confinement(p, findings);
+  rule_spin_confinement(p, findings);
 
   // zilint:allow with an unknown rule name is itself a finding; a typo'd
   // suppression must never silently stop suppressing.

@@ -40,6 +40,10 @@
 //                      sched_{set,get}affinity anywhere under src/ but
 //                      src/common/thread_pool.cpp: the pool alone decides
 //                      which CPU each of its workers runs on.
+//   spin-confinement   __builtin_ia32_pause, _mm_pause and yield() busy-wait
+//                      loops anywhere under src/ but
+//                      src/comm/inproc_transport.cpp: the collective
+//                      barrier's bounded spin is the only one.
 //
 // Suppression: `// zilint:allow(rule)` or `// zilint:allow(rule1,rule2)`,
 // optionally followed by `: reason`. It applies to findings on its own line,
